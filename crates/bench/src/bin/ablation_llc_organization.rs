@@ -26,10 +26,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::llc_organization_result(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::llc_organization_result(&study.run(&cell_broker, w))
     });
     let results: Vec<_> = report
         .payloads()
@@ -49,7 +46,7 @@ fn main() {
         "ablation_llc_organization",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

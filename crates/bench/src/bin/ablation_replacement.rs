@@ -28,13 +28,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::replacement_sweep(
-            w,
-            &match &cell_broker {
-                Some(b) => study.run_captured(b, w),
-                None => study.run(w),
-            },
-        )
+        results_json::replacement_sweep(w, &study.run(&cell_broker, w))
     });
     for (w, curves) in report
         .payloads()
@@ -60,7 +54,7 @@ fn main() {
         "ablation_replacement",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

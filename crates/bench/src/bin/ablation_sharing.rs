@@ -24,10 +24,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::sharing_result(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::sharing_result(&study.run(&cell_broker, w))
     });
     let results: Vec<_> = report
         .payloads()
@@ -38,7 +35,7 @@ fn main() {
         "ablation_sharing",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

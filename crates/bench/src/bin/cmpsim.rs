@@ -13,15 +13,15 @@
 //! served from the content-addressed result cache when unchanged. Each
 //! cell captures its FSB stream once and replays it into every LLC size
 //! (`--trace-dir DIR` persists the streams content-addressed for later
-//! runs; `--no-replay` restores execute-per-configuration). Within each
-//! cell, `--replay-shards N` (default: follow `--jobs`, `0` = one per
-//! CPU) spreads the sweep's boards over N worker threads — output bytes
-//! are identical at any shard count.
+//! runs). Within each cell, `--replay-shards N` (default: follow
+//! `--jobs`, `0` = one per CPU) spreads the sweep's boards over N worker
+//! threads — output bytes are identical at any shard count.
 //!
-//! `record`/`replay` capture the FSB transaction stream once and emulate
-//! it against any number of cache configurations afterwards — the same
-//! decoupling the FPGA rig offered (the bus trace does not depend on the
-//! emulated LLC because the emulator is passive).
+//! `run` is one capture replayed into one board. `record` writes the
+//! captured FSB transaction stream to a file and `replay` emulates it
+//! against any cache configuration afterwards — the same decoupling the
+//! FPGA rig offered (the bus trace does not depend on the emulated LLC
+//! because the emulator is passive).
 //!
 //! `serve`/`submit`/`status` turn the grid runner into a long-running
 //! service: `serve` starts a coordinator daemon that shards submitted
@@ -46,9 +46,9 @@ use cmpsim_core::tel::{
 use cmpsim_core::{telemetry, CaptureBroker, Scale, WorkloadId};
 use cmpsim_dragonhead::{Dragonhead, DragonheadConfig};
 use cmpsim_service::{AgentConfig, CellSpec, Coordinator, ServeConfig, Submission};
-use cmpsim_trace::file::{TraceReader, TraceWriter};
+use cmpsim_trace::file::TraceReader;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,7 +76,7 @@ fn main() {
                         [--cache-dir DIR] [--no-cache] [--json] [--metrics-out FILE]\n\
                         [--journal-dir DIR] [--run-id ID] [--resume ID]\n\
                         [--isolate inline|process] [--retries N]\n\
-                        [--trace-dir DIR] [--no-replay] [--replay-shards N] [--trace-out FILE]\n\
+                        [--trace-dir DIR] [--replay-shards N] [--trace-out FILE]\n\
                         [--quiet] [--connect ADDR]\n\
                  record --workload NAME --cores N --out FILE [--scale S]\n\
                  replay --trace FILE [--llc SIZE] [--line N] [--json] [--metrics-out FILE]\n\
@@ -118,7 +118,6 @@ struct Cli {
     isolate: IsolateMode,
     retries: Option<u32>,
     trace_dir: Option<PathBuf>,
-    no_replay: bool,
     replay_shards: Option<usize>,
     trace_out: Option<PathBuf>,
     quiet: bool,
@@ -197,7 +196,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--isolate" => cli.isolate = val()?.parse()?,
             "--retries" => cli.retries = Some(val()?.parse().map_err(|_| "bad --retries")?),
             "--trace-dir" => cli.trace_dir = Some(PathBuf::from(val()?)),
-            "--no-replay" => cli.no_replay = true,
             "--replay-shards" => {
                 cli.replay_shards = Some(val()?.parse().map_err(|_| "bad --replay-shards")?);
             }
@@ -278,10 +276,13 @@ fn cmd_run(args: &[String]) -> i32 {
     if cli.prefetch {
         cfg = cfg.with_prefetch(cmpsim_prefetch::StrideConfig::default());
     }
-    let wl = workload.build(cli.scale, cli.seed);
     let started = Instant::now();
+    let sim = CoSimulation::new(cfg);
     let mut spans = SpanProfiler::new();
-    let r = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+    spans.start("cosim");
+    let stream = sim.capture_profiled(workload, cli.scale, cli.seed, &mut spans);
+    let r = sim.replay_profiled(&stream, &mut spans);
+    spans.end();
     println!(
         "{workload} on {} cores, {} LLC ({}B lines), scale {}:",
         cli.cores,
@@ -330,9 +331,9 @@ fn cmd_grid(args: &[String]) -> i32 {
         .param("line", 64);
     // In service-client mode the coordinator owns journalling, caching,
     // isolation, and the trace sidecar — locally there is nothing to
-    // record and no broker to count.
+    // record, and the broker stays unused (its counters stay zero).
     let mut recorder = None;
-    let mut broker = None;
+    let broker = Arc::new(CaptureBroker::new(cli.trace_dir.clone()));
     let report = if let Some(addr) = &cli.connect {
         match service_submit(&cli, addr, &spec, args) {
             Ok(report) => report,
@@ -372,13 +373,9 @@ fn cmd_grid(args: &[String]) -> i32 {
             ])
             .collect();
         let base = (cli.isolate == IsolateMode::Process).then_some(child_base.as_slice());
-        broker = capture_broker(&cli);
         let cell_broker = broker.clone();
         run_grid_supervised(&spec, &runner, base, move |w| {
-            results_json::cache_size_curve(&match &cell_broker {
-                Some(b) => study.run_captured(b, w),
-                None => study.run(w),
-            })
+            results_json::cache_size_curve(&study.run(&cell_broker, w))
         })
     };
     let curves: Vec<_> = report
@@ -444,17 +441,15 @@ fn cmd_grid(args: &[String]) -> i32 {
             manifest = manifest.config_entry("runner_interrupted", 1u64);
         }
         // Capture-pipeline counters, likewise only when nonzero.
-        if let Some(b) = &broker {
-            let t = b.counters();
-            if t.captures > 0 {
-                manifest = manifest.config_entry("trace_captures", t.captures);
-            }
-            if t.memory_reuses > 0 {
-                manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
-            }
-            if t.disk_loads > 0 {
-                manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
-            }
+        let t = broker.counters();
+        if t.captures > 0 {
+            manifest = manifest.config_entry("trace_captures", t.captures);
+        }
+        if t.memory_reuses > 0 {
+            manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
+        }
+        if t.disk_loads > 0 {
+            manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
         }
         let doc = JsonValue::object([
             ("manifest", manifest.to_json()),
@@ -496,18 +491,6 @@ fn cmd_grid(args: &[String]) -> i32 {
         }
     }
     i32::from(report.failed_count() > 0)
-}
-
-/// The capture broker the grid flags describe: `None` under
-/// `--no-replay`, disk-backed under `--trace-dir`, in-memory otherwise.
-fn capture_broker(cli: &Cli) -> Option<Arc<CaptureBroker>> {
-    if cli.no_replay {
-        return None;
-    }
-    Some(Arc::new(match &cli.trace_dir {
-        Some(dir) => CaptureBroker::with_store(dir.clone()),
-        None => CaptureBroker::in_memory(),
-    }))
 }
 
 /// The journal configuration `grid` flags describe, or `None` when
@@ -788,11 +771,9 @@ fn cmd_child(args: &[String]) -> i32 {
     cmpsim_core::set_replay_shards(cli.effective_replay_shards());
     let study = CacheSizeStudy::new(cli.scale, cmp, cli.seed);
     let compute = || {
+        let broker = CaptureBroker::new(cli.trace_dir.clone());
         Ok(results_json::cache_size_curve(
-            &match capture_broker(&cli) {
-                Some(b) => study.run_captured(&b, workload),
-                None => study.run(workload),
-            },
+            &study.run(&broker, workload),
         ))
     };
     if child_trace_requested() {
@@ -820,49 +801,19 @@ fn cmd_record(args: &[String]) -> i32 {
     let (Some(workload), Some(out)) = (cli.workload, cli.out.as_ref()) else {
         return fail("record requires --workload and --out");
     };
-    let file = match File::create(out) {
-        Ok(f) => f,
-        Err(e) => return fail(&format!("cannot create {out}: {e}")),
-    };
-    let mut writer = match TraceWriter::new(BufWriter::new(file)) {
-        Ok(w) => w,
+    // The stream is platform-side: the LLC size never reaches it.
+    let cfg = match CoSimConfig::scaled(cli.cores, 1 << 20, cli.scale) {
+        Ok(c) => c,
         Err(e) => return fail(&e.to_string()),
     };
-    struct Recorder<'a, W: std::io::Write> {
-        w: &'a mut TraceWriter<W>,
-        err: Option<std::io::Error>,
-    }
-    impl<W: std::io::Write> cmpsim_softsdv::FsbListener for Recorder<'_, W> {
-        fn transaction(&mut self, txn: &cmpsim_trace::FsbTransaction) {
-            if self.err.is_none() {
-                if let Err(e) = self.w.write(txn) {
-                    self.err = Some(e);
-                }
-            }
-        }
-    }
-    let wl = workload.build(cli.scale, cli.seed);
-    let pcfg = {
-        let mut p = cmpsim_softsdv::PlatformConfig::new(cli.cores);
-        p.hierarchy = cmpsim_cache::HierarchyConfig::cmp_core_scaled(cli.scale);
-        p
-    };
-    let mut platform = cmpsim_softsdv::VirtualPlatform::new(pcfg, wl.as_ref());
-    let mut rec = Recorder {
-        w: &mut writer,
-        err: None,
-    };
-    let summary = platform.run(&mut rec);
-    if let Some(e) = rec.err {
-        return fail(&format!("write error: {e}"));
-    }
-    let n = writer.count();
-    if let Err(e) = writer.finish() {
-        return fail(&format!("flush error: {e}"));
+    let stream = CoSimulation::new(cfg).capture(workload, cli.scale, cli.seed);
+    if let Err(e) = std::fs::write(out, stream.encoded_bytes()) {
+        return fail(&format!("cannot write {out}: {e}"));
     }
     println!(
-        "recorded {n} transactions ({} instructions) to {out}",
-        summary.instructions
+        "recorded {} transactions ({} instructions) to {out}",
+        stream.transactions(),
+        stream.run().instructions
     );
     0
 }
@@ -1192,4 +1143,23 @@ fn cmd_report(args: &[String]) -> i32 {
 fn fail(msg: &str) -> i32 {
     eprintln!("error: {msg}");
     1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Cli, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn capture_flags_parse() {
+        let cli = parse_args(&["--cores", "8", "--trace-dir", "/tmp/t"]).unwrap();
+        assert_eq!(cli.trace_dir, Some(PathBuf::from("/tmp/t")));
+        // Replay is the only execution path: `cmpsim grid` rejects the
+        // removed escape hatch like any other unknown flag.
+        let err = parse_args(&["--cores", "8", "--no-replay"]).unwrap_err();
+        assert_eq!(err, "unknown option --no-replay");
+    }
 }

@@ -24,10 +24,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::line_size_curve(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::line_size_curve(&study.run(&cell_broker, w))
     });
     let curves: Vec<_> = report
         .payloads()
@@ -47,7 +44,7 @@ fn main() {
         "fig7_linesize",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

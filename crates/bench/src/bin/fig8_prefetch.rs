@@ -24,10 +24,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::prefetch_result(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::prefetch_result(&study.run(&cell_broker, w))
     });
     let results: Vec<_> = report
         .payloads()
@@ -43,7 +40,7 @@ fn main() {
         "fig8_prefetch",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

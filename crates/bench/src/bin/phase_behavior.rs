@@ -24,13 +24,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::phase_entry(
-            w,
-            &match &cell_broker {
-                Some(b) => study.run_captured(b, w),
-                None => study.run(w),
-            },
-        )
+        results_json::phase_entry(w, &study.run(&cell_broker, w))
     });
     let mut t = TextTable::new([
         "Workload",
@@ -79,7 +73,7 @@ fn main() {
         "phase_behavior",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

@@ -26,13 +26,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::projection_entry(
-            w,
-            &match &cell_broker {
-                Some(b) => study.run_captured(b, w, &cores),
-                None => study.run(w, &cores),
-            },
-        )
+        results_json::projection_entry(w, &study.run(&cell_broker, w, &cores))
     });
     let mut t = TextTable::new(
         std::iter::once("Workload".to_owned()).chain(cores.iter().map(|c| format!("{c} cores"))),
@@ -51,7 +45,7 @@ fn main() {
         "projection_128core",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

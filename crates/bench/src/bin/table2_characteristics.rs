@@ -23,10 +23,7 @@ fn main() {
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::table2_row(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::table2_row(&study.run(&cell_broker, w))
     });
     let rows: Vec<_> = report
         .payloads()
@@ -41,7 +38,7 @@ fn main() {
         "table2_characteristics",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        broker.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

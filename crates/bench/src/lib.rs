@@ -32,10 +32,9 @@
 //! * `--trace-dir DIR` — persist captured FSB streams content-addressed
 //!   under `DIR`, so later runs (and other binaries sharing a platform
 //!   configuration) replay from disk instead of re-executing,
-//! * `--no-replay` — escape hatch: execute the co-simulation once per
-//!   grid cell, exactly as before capture-once/replay-many existed.
-//!   Output is byte-identical either way; this exists to measure the
-//!   speedup and to bisect any suspected replay divergence,
+//! * `--replay-shards N` — worker threads sharding each cell's sweep
+//!   replay across its boards (default: follow `--jobs`, `0` = one per
+//!   CPU); output is byte-identical at any shard count,
 //! * `--connect ADDR` — submit the grid to a running `cmpsim serve`
 //!   coordinator instead of executing locally: cells execute on the
 //!   daemon's worker fleet against its shared result cache, results
@@ -43,6 +42,10 @@
 //!   run. `--run-id`/`--resume` name the *server-side* journal; the
 //!   daemon owns journalling, caching, and the trace sidecar in this
 //!   mode.
+//!
+//! Every cell captures its FSB stream once (or loads it from
+//! `--trace-dir`) and replays it into each board the study needs; there
+//! is no execute-per-configuration mode.
 //!
 //! The JSON twin carries a run manifest (producer, version, scale, seed,
 //! workloads, wall time) plus a `results` payload built by the
@@ -103,9 +106,6 @@ pub struct Options {
     /// On-disk trace store root for captured FSB streams; `None` keeps
     /// captures in memory only.
     pub trace_dir: Option<PathBuf>,
-    /// Disable capture-once/replay-many: execute the co-simulation for
-    /// every grid cell (the pre-replay behavior).
-    pub no_replay: bool,
     /// Worker threads sharding each cell's sweep replay across boards
     /// (`0` = one per CPU). `None` follows `--jobs`. Sharding never
     /// changes output bytes — see `CoSimulation::replay_sweep_sharded`.
@@ -149,7 +149,6 @@ impl Default for Options {
             isolate: IsolateMode::Inline,
             retries: None,
             trace_dir: None,
-            no_replay: false,
             replay_shards: None,
             trace_out: None,
             quiet: false,
@@ -248,7 +247,6 @@ impl Options {
                     opts.retries = Some(val()?.parse().map_err(|_| "bad --retries value")?);
                 }
                 "--trace-dir" => opts.trace_dir = Some(PathBuf::from(val()?)),
-                "--no-replay" => opts.no_replay = true,
                 "--replay-shards" => {
                     opts.replay_shards =
                         Some(val()?.parse().map_err(|_| "bad --replay-shards value")?);
@@ -335,18 +333,11 @@ impl Options {
         })
     }
 
-    /// The capture broker these options describe: `None` under
-    /// `--no-replay` (every cell executes the co-simulation itself),
-    /// disk-backed under `--trace-dir`, in-memory otherwise. Wrapped in
-    /// an [`Arc`] so grid-cell closures can share one broker.
-    pub fn capture_broker(&self) -> Option<Arc<CaptureBroker>> {
-        if self.no_replay {
-            return None;
-        }
-        Some(Arc::new(match &self.trace_dir {
-            Some(dir) => CaptureBroker::with_store(dir.clone()),
-            None => CaptureBroker::in_memory(),
-        }))
+    /// The capture broker these options describe: disk-backed under
+    /// `--trace-dir`, in-memory otherwise. Wrapped in an [`Arc`] so
+    /// grid-cell closures can share one broker.
+    pub fn capture_broker(&self) -> Arc<CaptureBroker> {
+        Arc::new(CaptureBroker::new(self.trace_dir.clone()))
     }
 
     /// The argv a supervised child uses to recompute one cell (minus the
@@ -422,45 +413,27 @@ impl Options {
         m
     }
 
-    /// Writes `{manifest, results}` to the JSON twin path, if one was
-    /// requested. Text output on stdout is unaffected; the path note
-    /// goes to stderr.
-    pub fn emit_json(&self, name: &str, results: JsonValue) {
-        let Some(path) = self.json_path(name) else {
-            return;
-        };
-        let doc = JsonValue::object([
-            ("manifest", self.manifest(name).to_json()),
-            ("results", results),
-        ]);
-        match cmpsim_telemetry::write_json_file(&path, &doc) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// Like [`emit_json`](Options::emit_json), but for a grid run: the
-    /// manifest additionally records the runner counters, and the
-    /// document carries the full per-job [`RunReport`] under `runner`.
+    /// Writes `{manifest, results, runner}` to the JSON twin path, if
+    /// one was requested: the manifest records the runner counters, and
+    /// the document carries the full per-job [`RunReport`] under
+    /// `runner`. Text output on stdout is unaffected; the path note goes
+    /// to stderr.
     pub fn emit_json_runner(&self, name: &str, results: JsonValue, report: &RunReport) {
-        self.emit_json_traced(name, results, report, None);
+        self.emit_json_traced(name, results, report, CaptureCounters::default());
     }
 
     /// Like [`emit_json_runner`](Options::emit_json_runner), but also
     /// stamps the capture pipeline's counters into the manifest —
     /// how many FSB streams were captured live, reused from memory, and
     /// loaded from the `--trace-dir` store. Counters appear only when
-    /// nonzero, so `--no-replay` runs (which pass `None`) and runs where
-    /// nothing was captured produce the exact manifest they always did.
+    /// nonzero, so a run where nothing was captured (every cell served
+    /// from the result cache) produces the exact manifest it always did.
     pub fn emit_json_traced(
         &self,
         name: &str,
         results: JsonValue,
         report: &RunReport,
-        trace: Option<CaptureCounters>,
+        trace: CaptureCounters,
     ) {
         let Some(path) = self.json_path(name) else {
             return;
@@ -491,16 +464,14 @@ impl Options {
         if report.interrupted {
             manifest = manifest.config_entry("runner_interrupted", 1u64);
         }
-        if let Some(t) = trace {
-            if t.captures > 0 {
-                manifest = manifest.config_entry("trace_captures", t.captures);
-            }
-            if t.memory_reuses > 0 {
-                manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
-            }
-            if t.disk_loads > 0 {
-                manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
-            }
+        if trace.captures > 0 {
+            manifest = manifest.config_entry("trace_captures", trace.captures);
+        }
+        if trace.memory_reuses > 0 {
+            manifest = manifest.config_entry("trace_reuses", trace.memory_reuses);
+        }
+        if trace.disk_loads > 0 {
+            manifest = manifest.config_entry("trace_disk_loads", trace.disk_loads);
         }
         let doc = JsonValue::object([
             ("manifest", manifest.to_json()),
@@ -752,7 +723,7 @@ fn usage(err: &str) -> ! {
         "usage: <bin> [--scale tiny|ci|paper|1/N] [--seed N] [--workloads A,B,C]\n\
          \x20      [--json] [--metrics-out FILE] [--jobs N] [--cache-dir DIR] [--no-cache]\n\
          \x20      [--job-timeout SECONDS] [--journal-dir DIR] [--run-id ID] [--resume ID]\n\
-         \x20      [--isolate inline|process] [--retries N] [--trace-dir DIR] [--no-replay]\n\
+         \x20      [--isolate inline|process] [--retries N] [--trace-dir DIR]\n\
          \x20      [--replay-shards N] [--trace-out FILE] [--quiet] [--connect ADDR]\n\
          workloads: SNP, SVM-RFE, MDS, SHOT, FIMI, VIEWTYPE, PLSA, RSEARCH"
     );
@@ -817,21 +788,20 @@ mod tests {
 
     #[test]
     fn capture_flags_parse() {
-        // Default: replay on, in-memory broker.
+        // Default: in-memory broker.
         let o = parse(&[]).unwrap();
         assert_eq!(o.trace_dir, None);
-        assert!(!o.no_replay);
-        let broker = o.capture_broker().expect("replay is the default");
-        assert!(broker.store().is_none());
+        assert!(o.capture_broker().store().is_none());
         // --trace-dir: disk-backed broker.
         let o = parse(&["--trace-dir", "/tmp/t"]).unwrap();
         assert_eq!(o.trace_dir, Some(PathBuf::from("/tmp/t")));
-        assert!(o.capture_broker().unwrap().store().is_some());
-        // --no-replay: no broker at all.
-        let o = parse(&["--no-replay", "--trace-dir", "/tmp/t"]).unwrap();
-        assert!(o.no_replay);
-        assert!(o.capture_broker().is_none());
+        assert!(o.capture_broker().store().is_some());
         assert!(parse(&["--trace-dir"]).unwrap_err().contains("missing"));
+        // Replay is the only execution path: the old escape hatch is an
+        // unknown argument (`cmpsim grid` checks the same in its own
+        // `capture_flags_parse`).
+        let err = parse(&["--no-replay"]).unwrap_err();
+        assert!(err.contains("unknown argument `--no-replay`"), "{err}");
     }
 
     #[test]
@@ -886,10 +856,9 @@ mod tests {
         // A supervised child must see the same capture configuration as
         // its parent, so a process-isolated cell replays from the same
         // on-disk store instead of silently re-executing.
-        let o = parse(&["--trace-dir", "/tmp/t", "--no-replay", "--jobs", "4"]).unwrap();
+        let o = parse(&["--trace-dir", "/tmp/t", "--jobs", "4"]).unwrap();
         let child = o.child_args();
         assert!(child.windows(2).any(|w| w == ["--trace-dir", "/tmp/t"]));
-        assert!(child.iter().any(|a| a == "--no-replay"));
         assert!(!child.iter().any(|a| a == "--jobs"));
     }
 

@@ -146,3 +146,50 @@ fn resume_command_pins_the_run_id() {
     assert!(cmd.ends_with("--scale tiny --jobs 2 --resume old"), "{cmd}");
     assert!(!cmd.contains("--run-id"), "{cmd}");
 }
+
+#[test]
+fn record_writes_the_captured_stream_and_replay_reads_it_back() {
+    use cmpsim_core::{CoSimConfig, CoSimulation};
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("cmpsim-record-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("shot.cmpt");
+    let cmpsim = env!("CARGO_BIN_EXE_cmpsim");
+    let record = Command::new(cmpsim)
+        .args([
+            "record",
+            "--workload",
+            "SHOT",
+            "--cores",
+            "2",
+            "--scale",
+            "tiny",
+        ])
+        .arg("--out")
+        .arg(&trace)
+        .output()
+        .expect("spawn cmpsim record");
+    assert!(
+        record.status.success(),
+        "{}",
+        String::from_utf8_lossy(&record.stderr)
+    );
+
+    // The file is exactly the library's capture at the CLI's default
+    // seed: one recording path, with its lossless-capture checks.
+    let cfg = CoSimConfig::scaled(2, 1 << 20, Scale::tiny()).unwrap();
+    let stream = CoSimulation::new(cfg).capture(WorkloadId::Shot, Scale::tiny(), 2007);
+    assert!(std::fs::read(&trace).unwrap() == stream.encoded_bytes());
+
+    let replay = Command::new(cmpsim)
+        .args(["replay", "--llc", "1MB", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("spawn cmpsim replay");
+    assert!(replay.status.success());
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    let expected = format!("replayed {} transactions", stream.transactions());
+    assert!(stdout.contains(&expected), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

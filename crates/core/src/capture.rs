@@ -465,17 +465,19 @@ pub struct CaptureBroker {
 }
 
 impl CaptureBroker {
-    /// A broker with no on-disk store: streams live for the process.
-    pub fn in_memory() -> Self {
-        Self::default()
-    }
-
-    /// A broker backed by a [`TraceStore`] rooted at `root`.
-    pub fn with_store(root: impl Into<PathBuf>) -> Self {
+    /// The broker a `--trace-dir` flag describes: backed by a
+    /// [`TraceStore`] rooted at `trace_dir` when one is given, in-memory
+    /// otherwise.
+    pub fn new(trace_dir: Option<PathBuf>) -> Self {
         CaptureBroker {
-            store: Some(TraceStore::new(root)),
+            store: trace_dir.map(TraceStore::new),
             ..Self::default()
         }
+    }
+
+    /// A broker with no on-disk store: streams live for the process.
+    pub fn in_memory() -> Self {
+        Self::new(None)
     }
 
     /// The attached on-disk store, if any.
@@ -757,12 +759,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let key = JobKey::new("fsb-stream").field("workload", "SVM_RFE");
         {
-            let broker = CaptureBroker::with_store(&root);
+            let broker = CaptureBroker::new(Some(root.clone()));
             broker.stream(&key, || sample_capture(&key));
             assert_eq!(broker.counters().captures, 1);
         }
         // A fresh broker (a new process, conceptually) loads from disk.
-        let broker = CaptureBroker::with_store(&root);
+        let broker = CaptureBroker::new(Some(root.clone()));
         let s = broker.stream(&key, || panic!("must load, not capture"));
         assert_eq!(s.transactions(), 100);
         assert_eq!(

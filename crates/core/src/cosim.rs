@@ -119,8 +119,12 @@ impl CoSimConfig {
         p
     }
 
-    fn dragonhead_config(&self) -> DragonheadConfig {
-        let mut d = DragonheadConfig::new(self.llc);
+    /// The board emulating `llc` behind this configuration's bus: the
+    /// one place a board inherits the banks, sample period and
+    /// prefetcher, whether it is the single board of a replay or one of
+    /// a sweep's.
+    fn board_config(&self, llc: CacheConfig) -> DragonheadConfig {
+        let mut d = DragonheadConfig::new(llc);
         d.banks = self.banks;
         d.sample_period = self.sample_period;
         d.prefetch = self.prefetch;
@@ -177,38 +181,19 @@ impl CoSimReport {
 }
 
 /// A configured co-simulation, ready to run workloads.
+///
+/// Every run has one shape: the platform executes the workload once
+/// while [`capture`](CoSimulation::capture) records the FSB stream, and
+/// the boards see that stream only by replay. Because Dragonhead is
+/// passive, replay is observationally identical to snooping the live
+/// bus; the direct-snoop oracle test in this module pins that.
 #[derive(Debug, Clone, Copy)]
 pub struct CoSimulation {
     cfg: CoSimConfig,
 }
 
-/// Adapter: a Dragonhead board listening on the platform's FSB.
-struct Snoop<'a>(&'a mut Dragonhead);
-
-impl FsbListener for Snoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        self.0.observe(txn);
-    }
-}
-
-/// Several boards on the same bus — the fast path for cache-size sweeps:
-/// one platform run feeds every LLC configuration under study, which is
-/// sound because the emulator is *passive* (it never affects the
-/// workload or the private caches).
-struct MultiSnoop<'a>(&'a mut [Dragonhead]);
-
-impl FsbListener for MultiSnoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        for dh in self.0.iter_mut() {
-            dh.observe(txn);
-        }
-    }
-}
-
 /// The tape deck: a listener that records the exact FSB stream in the
-/// compact trace encoding instead of (or before) emulating anything.
+/// compact trace encoding.
 struct Recorder {
     writer: TraceWriter<Vec<u8>>,
     /// Transactions whose address was not 64-byte aligned. The trace
@@ -233,100 +218,10 @@ impl FsbListener for Recorder {
     }
 }
 
-/// A board behind a faulty channel: every platform transaction passes
-/// through the injector, which may drop, duplicate, reorder, or corrupt
-/// it before the board sees anything.
-struct FaultSnoop<'a> {
-    dh: &'a mut Dragonhead,
-    injector: &'a mut dyn FaultInjector,
-    buf: Vec<FsbTransaction>,
-}
-
-impl FaultSnoop<'_> {
-    fn deliver(&mut self) {
-        for txn in self.buf.drain(..) {
-            self.dh.observe(&txn);
-        }
-    }
-
-    /// Releases transactions the injector was still holding back (e.g.
-    /// the second half of a reorder swap) at end of stream.
-    fn drain_held(&mut self) {
-        self.injector.finish(&mut self.buf);
-        self.deliver();
-    }
-}
-
-impl FsbListener for FaultSnoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        self.injector.inject(txn, &mut self.buf);
-        self.deliver();
-    }
-}
-
 impl CoSimulation {
     /// Creates a co-simulation from a config.
     pub fn new(cfg: CoSimConfig) -> Self {
         CoSimulation { cfg }
-    }
-
-    /// Runs `workload` to completion under this configuration.
-    pub fn run(&self, workload: &dyn Workload) -> CoSimReport {
-        let mut spans = SpanProfiler::new();
-        self.run_profiled(workload, &mut spans)
-    }
-
-    /// Like [`run`](CoSimulation::run), but records wall-clock spans for
-    /// the build/simulate/report stages into `spans`.
-    pub fn run_profiled(&self, workload: &dyn Workload, spans: &mut SpanProfiler) -> CoSimReport {
-        let _t = ftrace::span("cosim");
-        spans.start("cosim");
-        spans.start("build");
-        let tb = ftrace::span("build");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::new(self.cfg.dragonhead_config());
-        drop(tb);
-        spans.end();
-        spans.start("simulate");
-        let ts = ftrace::span("simulate");
-        let run = platform.run(&mut Snoop(&mut dh));
-        drop(ts);
-        spans.end();
-        spans.start("report");
-        let tr = ftrace::span("report");
-        dh.flush(run.cycles).expect("platform cycles are monotone");
-        let report = Self::report(run, &dh);
-        drop(tr);
-        spans.end();
-        spans.end();
-        report
-    }
-
-    /// Runs `workload` once while emulating every LLC in `llcs`
-    /// simultaneously (passive boards on one bus). Returns one report per
-    /// LLC, in order.
-    pub fn run_sweep(&self, workload: &dyn Workload, llcs: &[CacheConfig]) -> Vec<CoSimReport> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut boards: Vec<Dragonhead> = llcs
-            .iter()
-            .map(|&llc| {
-                let mut d = DragonheadConfig::new(llc);
-                d.banks = self.cfg.banks;
-                d.sample_period = self.cfg.sample_period;
-                d.prefetch = self.cfg.prefetch;
-                Dragonhead::new(d)
-            })
-            .collect();
-        let run = platform.run(&mut MultiSnoop(&mut boards));
-        for dh in &mut boards {
-            dh.flush(run.cycles).expect("platform cycles are monotone");
-        }
-        boards
-            .iter()
-            .map(|dh| Self::report(run.clone(), dh))
-            .collect()
     }
 
     /// The content-addressed identity of the FSB stream this
@@ -369,13 +264,44 @@ impl CoSimulation {
         spans.start("build");
         let tb = ftrace::span("build");
         let wl = workload.build(scale, seed);
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), wl.as_ref());
+        drop(tb);
+        spans.end();
+        let stream = self.record(wl.as_ref(), scale, seed, spans);
+        spans.end();
+        stream
+    }
+
+    /// Like [`capture`](CoSimulation::capture), but runs a workload
+    /// instance the caller already built, so the caller can read the
+    /// instance's own outputs (an alignment score, detected shot
+    /// boundaries) after the run. The stream is keyed as
+    /// `workload.id()` at `{scale, seed}`, so `workload` must be what
+    /// `workload.id().build(scale, seed)` returns.
+    pub fn capture_workload(
+        &self,
+        workload: &dyn Workload,
+        scale: Scale,
+        seed: u64,
+    ) -> CapturedStream {
+        let _t = ftrace::span("capture");
+        self.record(workload, scale, seed, &mut SpanProfiler::new())
+    }
+
+    /// Runs `wl` to completion with a [`Recorder`] on the bus and seals
+    /// the stream, refusing a lossy capture: a clamped cycle or a
+    /// sub-line address would replay differently from the live bus.
+    fn record(
+        &self,
+        wl: &dyn Workload,
+        scale: Scale,
+        seed: u64,
+        spans: &mut SpanProfiler,
+    ) -> CapturedStream {
+        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), wl);
         let mut rec = Recorder {
             writer: TraceWriter::new(Vec::new()).expect("writing a trace to memory cannot fail"),
             unaligned: 0,
         };
-        drop(tb);
-        spans.end();
         spans.start("record");
         let tr = ftrace::span("record");
         let run = platform.run(&mut rec);
@@ -398,10 +324,9 @@ impl CoSimulation {
             .writer
             .finish()
             .expect("writing a trace to memory cannot fail");
-        let key = self.stream_key(workload, scale, seed);
+        let key = self.stream_key(wl.id(), scale, seed);
         let stream = CapturedStream::new(&key, bytes, transactions, run);
         drop(tl);
-        spans.end();
         spans.end();
         stream
     }
@@ -422,8 +347,7 @@ impl CoSimulation {
     }
 
     /// Replays a captured stream into this configuration's board,
-    /// producing a report bit-identical to [`run`](CoSimulation::run)
-    /// on the same `{workload, scale, seed}`.
+    /// producing the report a board snooping the live bus would have.
     pub fn replay(&self, stream: &CapturedStream) -> CoSimReport {
         let mut spans = SpanProfiler::new();
         self.replay_profiled(stream, &mut spans)
@@ -440,7 +364,7 @@ impl CoSimulation {
         spans.start("replay");
         spans.start("build");
         let tb = ftrace::span("build");
-        let mut dh = Dragonhead::new(self.cfg.dragonhead_config());
+        let mut dh = Dragonhead::new(self.cfg.board_config(self.cfg.llc));
         drop(tb);
         spans.end();
         spans.start("simulate");
@@ -462,9 +386,9 @@ impl CoSimulation {
         report
     }
 
-    /// Replays a captured stream into one board per LLC in `llcs` —
-    /// the replay-side twin of [`run_sweep`](CoSimulation::run_sweep),
-    /// with the same report per configuration but no re-execution.
+    /// Replays a captured stream into one board per LLC in `llcs`, one
+    /// report per configuration in order — a whole sweep from a single
+    /// platform execution.
     ///
     /// Replay is sharded across worker threads per the process-wide
     /// [`replay_shards`] setting; use
@@ -498,13 +422,7 @@ impl CoSimulation {
         let _t = ftrace::span("replay");
         let mut boards: Vec<Dragonhead> = llcs
             .iter()
-            .map(|&llc| {
-                let mut d = DragonheadConfig::new(llc);
-                d.banks = self.cfg.banks;
-                d.sample_period = self.cfg.sample_period;
-                d.prefetch = self.cfg.prefetch;
-                Dragonhead::new(d)
-            })
+            .map(|&llc| Dragonhead::new(self.cfg.board_config(llc)))
             .collect();
         let final_cycle = stream.run().cycles;
         let shards = shards.clamp(1, boards.len().max(1));
@@ -540,81 +458,50 @@ impl CoSimulation {
             .collect()
     }
 
-    /// Like [`run`](CoSimulation::run), but every failure mode is a
-    /// structured [`CoSimError`] instead of a panic, and the finished
-    /// report is checked against the full invariant catalogue before it
-    /// is returned.
+    /// Replays a captured stream into this configuration's board with
+    /// `injector` perturbing it between decode and the board — the chaos
+    /// path.
+    ///
+    /// The platform is never faulted (the capture's [`RunSummary`] is
+    /// ground truth); only what the board *observes* is. The faulted
+    /// transactions go straight to the board and are never re-encoded:
+    /// the trace codec would clamp jittered cycle stamps that run
+    /// backwards, hiding exactly the anomaly under test. The returned
+    /// report carries the injection census in `metrics`
+    /// (`faults_injected`, plus a per-`class` breakdown) next to the
+    /// board's own anomaly counters, and is checked against the full
+    /// invariant catalogue, so an unrecovered corruption surfaces as a
+    /// named invariant violation, never a silently wrong figure.
     ///
     /// # Errors
     ///
     /// [`CoSimError::Invariant`] for a bad cache geometry or a report
     /// that fails self-validation; [`CoSimError::Protocol`] if the
     /// sampler clock ran backwards.
-    pub fn run_checked(&self, workload: &dyn Workload) -> Result<CoSimReport, CoSimError> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::try_new(self.cfg.dragonhead_config())?;
-        let run = platform.run(&mut Snoop(&mut dh));
-        dh.flush(run.cycles)?;
-        let report = Self::report(run, &dh);
-        {
-            let _v = ftrace::span("validate");
-            Validator::new(self.cfg.sample_period).validate(&report)?;
-        }
-        Ok(report)
-    }
-
-    /// Runs `workload` with `injector` perturbing the FSB stream between
-    /// the platform and the board — the chaos path.
-    ///
-    /// The platform itself is never faulted (its [`RunSummary`] is
-    /// ground truth); only what the board *observes* is. The returned
-    /// report carries the injection census in `metrics`
-    /// (`faults_injected`, plus a per-`class` breakdown) next to the
-    /// board's own anomaly counters, and is validated like
-    /// [`run_checked`](CoSimulation::run_checked) so an unrecovered
-    /// corruption surfaces as a named invariant violation, never a
-    /// silently wrong figure.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`run_checked`](CoSimulation::run_checked).
-    pub fn run_with_faults(
+    pub fn replay_with_faults(
         &self,
-        workload: &dyn Workload,
+        stream: &CapturedStream,
         injector: &mut dyn FaultInjector,
     ) -> Result<CoSimReport, CoSimError> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::try_new(self.cfg.dragonhead_config())?;
-        let run = {
-            let mut snoop = FaultSnoop {
-                dh: &mut dh,
-                injector,
-                buf: Vec::new(),
-            };
-            let run = platform.run(&mut snoop);
-            snoop.drain_held();
-            run
-        };
-        dh.flush(run.cycles)?;
-        let mut report = Self::report(run, &dh);
-        let injected = injector.faults_injected();
-        if injected > 0 {
-            report
-                .metrics
-                .count("faults_injected", &Labels::none(), injected);
-            for (class, v) in injector.fault_counters().by_class() {
-                if v > 0 {
-                    let labels = Labels::none().with("class", class);
-                    report.metrics.count("faults_injected_class", &labels, v);
-                }
+        let _t = ftrace::span("replay");
+        let mut dh = Dragonhead::try_new(self.cfg.board_config(self.cfg.llc))?;
+        let mut batch = Vec::with_capacity(cmpsim_dragonhead::BATCH_TRANSACTIONS);
+        for txn in stream.iter() {
+            injector.inject(&txn, &mut batch);
+            if batch.len() >= cmpsim_dragonhead::BATCH_TRANSACTIONS {
+                dh.observe_batch(&batch);
+                batch.clear();
             }
         }
-        {
-            let _v = ftrace::span("validate");
-            Validator::new(self.cfg.sample_period).validate(&report)?;
-        }
+        // Release what the injector still holds back (e.g. the second
+        // half of a reorder swap).
+        injector.finish(&mut batch);
+        dh.observe_batch(&batch);
+        dh.flush(stream.run().cycles)?;
+        let mut report = Self::report(stream.run().clone(), &dh);
+        count_faults(&mut report.metrics, injector);
+        let _v = ftrace::span("validate");
+        Validator::new(self.cfg.sample_period).validate(&report)?;
         Ok(report)
     }
 
@@ -640,16 +527,53 @@ impl CoSimulation {
     }
 }
 
+/// Adds `injector`'s census to `metrics`: the `faults_injected` total
+/// and one `faults_injected_class` row per class that fired. A run with
+/// no faults gains no rows, so its registry matches a clean replay's.
+fn count_faults(metrics: &mut MetricRegistry, injector: &dyn FaultInjector) {
+    let injected = injector.faults_injected();
+    if injected == 0 {
+        return;
+    }
+    metrics.count("faults_injected", &Labels::none(), injected);
+    for (class, v) in injector.fault_counters().by_class() {
+        if v > 0 {
+            let labels = Labels::none().with("class", class);
+            metrics.count("faults_injected_class", &labels, v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cmpsim_workloads::{Scale, WorkloadId};
 
+    /// Captures `id` at tiny scale and replays it into `cfg`'s board.
+    fn capture_and_replay(cfg: CoSimConfig, id: WorkloadId, seed: u64) -> CoSimReport {
+        let sim = CoSimulation::new(cfg);
+        sim.replay(&sim.capture(id, Scale::tiny(), seed))
+    }
+
+    /// Every field a replayed report must share with its reference.
+    fn assert_same_report(tag: &str, a: &CoSimReport, b: &CoSimReport) {
+        assert_eq!(a.llc, b.llc, "{tag}: llc differs");
+        assert_eq!(a.samples, b.samples, "{tag}: samples differ");
+        assert_eq!(
+            a.per_core_llc, b.per_core_llc,
+            "{tag}: per-core llc differs"
+        );
+        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{tag}: mpki differs");
+        assert_eq!(a.llc_resident_lines, b.llc_resident_lines, "{tag}");
+        // The full metric registries — every platform, per-bank and
+        // per-core counter — serialize identically.
+        assert_eq!(a.metrics.to_json(), b.metrics.to_json(), "{tag}: metrics");
+    }
+
     #[test]
     fn single_run_produces_consistent_report() {
-        let wl = WorkloadId::Plsa.build(Scale::tiny(), 1);
         let cfg = CoSimConfig::new(2, 1 << 20).unwrap();
-        let r = CoSimulation::new(cfg).run(wl.as_ref());
+        let r = capture_and_replay(cfg, WorkloadId::Plsa, 1);
         assert!(r.run.instructions > 0);
         assert_eq!(r.llc.hits + r.llc.misses, r.llc.accesses);
         // Per-core LLC accesses sum to the total.
@@ -665,10 +589,12 @@ mod tests {
             .iter()
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
-        let wl = WorkloadId::Viewtype.build(Scale::tiny(), 2);
-        let sweep = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &sizes);
-        let wl2 = WorkloadId::Viewtype.build(Scale::tiny(), 2);
-        let single = CoSimulation::new(cfg.with_llc(sizes[1])).run(wl2.as_ref());
+        let sim = CoSimulation::new(cfg);
+        let stream = sim.capture(WorkloadId::Viewtype, Scale::tiny(), 2);
+        let sweep = sim.replay_sweep(&stream, &sizes);
+        // A board-side change keeps the stream key, so the single-board
+        // replay reuses the sweep's capture.
+        let single = CoSimulation::new(cfg.with_llc(sizes[1])).replay(&stream);
         assert_eq!(sweep[1].llc.misses, single.llc.misses);
         assert_eq!(sweep[1].llc.hits, single.llc.hits);
     }
@@ -678,13 +604,13 @@ mod tests {
         // LRU is a stack algorithm: with identical line size and
         // associativity scaling, larger caches should not miss more
         // (allowing a tiny tolerance for set-mapping effects).
-        let cfg = CoSimConfig::new(2, 1 << 20).unwrap();
+        let sim = CoSimulation::new(CoSimConfig::new(2, 1 << 20).unwrap());
         let sizes: Vec<CacheConfig> = [1u64 << 18, 1 << 19, 1 << 20, 1 << 21]
             .iter()
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
-        let wl = WorkloadId::SvmRfe.build(Scale::tiny(), 3);
-        let sweep = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &sizes);
+        let stream = sim.capture(WorkloadId::SvmRfe, Scale::tiny(), 3);
+        let sweep = sim.replay_sweep(&stream, &sizes);
         for w in sweep.windows(2) {
             assert!(
                 w[1].llc.misses as f64 <= w[0].llc.misses as f64 * 1.05,
@@ -697,11 +623,12 @@ mod tests {
 
     #[test]
     fn report_carries_metrics_and_flushed_samples() {
-        let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
+        let sim = CoSimulation::new(cfg);
         let mut spans = cmpsim_telemetry::SpanProfiler::new();
-        let r = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+        let stream = sim.capture_profiled(WorkloadId::Fimi, Scale::tiny(), 1, &mut spans);
+        let r = sim.replay_profiled(&stream, &mut spans);
         // The flush guarantees the series covers the end of the run.
         assert!(!r.samples.is_empty());
         assert_eq!(r.samples.last().unwrap().cycle, r.run.cycles);
@@ -710,55 +637,129 @@ mod tests {
         assert_eq!(r.metrics.counter_total("instructions"), r.run.instructions);
         assert_eq!(r.metrics.counter_total("llc_misses"), r.llc.misses);
         assert_eq!(r.metrics.counter_total("core_llc_accesses"), r.llc.accesses);
-        // Build/simulate/report stages were timed.
+        // Every capture and replay stage was timed.
         let names: Vec<&str> = spans.spans().iter().map(|s| s.name.as_str()).collect();
-        for stage in ["cosim", "build", "simulate", "report"] {
+        for stage in [
+            "capture", "build", "record", "seal", "replay", "simulate", "report",
+        ] {
             assert!(names.contains(&stage), "missing span {stage}");
         }
     }
 
-    #[test]
-    fn replay_of_capture_matches_live_run() {
-        let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
-        cfg.sample_period = 1000;
-        let sim = CoSimulation::new(cfg);
-        let wl = WorkloadId::Plsa.build(Scale::tiny(), 1);
-        let live = sim.run(wl.as_ref());
-
-        let stream = sim.capture(WorkloadId::Plsa, Scale::tiny(), 1);
-        assert_eq!(stream.run().instructions, live.run.instructions);
-        assert_eq!(stream.run().cycles, live.run.cycles);
-        let replayed = sim.replay(&stream);
-
-        assert_eq!(replayed.llc, live.llc);
-        assert_eq!(replayed.samples, live.samples);
-        assert_eq!(replayed.per_core_llc, live.per_core_llc);
-        assert_eq!(replayed.run.per_core, live.run.per_core);
-        assert_eq!(replayed.run.l1, live.run.l1);
-        assert_eq!(replayed.run.l2, live.run.l2);
-        assert_eq!(replayed.mpki.to_bits(), live.mpki.to_bits());
-        assert_eq!(replayed.llc_resident_lines, live.llc_resident_lines);
+    /// The reference implementation every replay is held to: boards
+    /// snooping the live platform bus directly, as the paper's FPGA
+    /// did, behind an optional faulty channel.
+    struct DirectSnoop<'a> {
+        boards: Vec<Dragonhead>,
+        faults: &'a mut dyn FaultInjector,
+        buf: Vec<FsbTransaction>,
     }
 
+    impl DirectSnoop<'_> {
+        fn deliver(&mut self) {
+            for txn in self.buf.drain(..) {
+                for dh in &mut self.boards {
+                    dh.observe(&txn);
+                }
+            }
+        }
+    }
+
+    impl FsbListener for DirectSnoop<'_> {
+        fn transaction(&mut self, txn: &FsbTransaction) {
+            self.faults.inject(txn, &mut self.buf);
+            self.deliver();
+        }
+    }
+
+    /// Runs `id` live with one directly snooping board per LLC in
+    /// `llcs`, finishing each report the way a checked chaos replay
+    /// does: flush, census, validation.
+    fn direct_snoop(
+        sim: &CoSimulation,
+        id: WorkloadId,
+        llcs: &[CacheConfig],
+        faults: &mut dyn FaultInjector,
+    ) -> Vec<Result<CoSimReport, CoSimError>> {
+        let wl = id.build(Scale::tiny(), 1);
+        let mut platform = VirtualPlatform::new(sim.cfg.platform_config(), wl.as_ref());
+        let mut snoop = DirectSnoop {
+            boards: llcs
+                .iter()
+                .map(|&l| Dragonhead::new(sim.cfg.board_config(l)))
+                .collect(),
+            faults,
+            buf: Vec::new(),
+        };
+        let run = platform.run(&mut snoop);
+        snoop.faults.finish(&mut snoop.buf);
+        snoop.deliver();
+        let DirectSnoop {
+            mut boards, faults, ..
+        } = snoop;
+        let validator = Validator::new(sim.cfg.sample_period);
+        boards
+            .iter_mut()
+            .map(|dh| {
+                dh.flush(run.cycles)?;
+                let mut r = CoSimulation::report(run.clone(), dh);
+                count_faults(&mut r.metrics, faults);
+                validator.validate(&r)?;
+                Ok(r)
+            })
+            .collect()
+    }
+
+    /// The direct-snoop oracle: for every workload, capture plus sweep
+    /// replay at one and two shards reproduces the live boards exactly,
+    /// and a combined-chaos fault plan injected between the live
+    /// platform and the board matches the same plan injected between
+    /// decode and the board by `replay_with_faults`.
     #[test]
-    fn replay_sweep_matches_run_sweep() {
-        let cfg = CoSimConfig::new(2, 1 << 20).unwrap();
+    fn replay_of_capture_matches_live_run() {
+        let mut cfg = CoSimConfig::scaled(2, 1 << 16, Scale::tiny()).unwrap();
+        cfg.sample_period = 1000;
         let sim = CoSimulation::new(cfg);
-        let sizes: Vec<CacheConfig> = [1u64 << 18, 1 << 19, 1 << 20]
+        let llcs: Vec<CacheConfig> = [1u64 << 16, 1 << 18, 1 << 20]
             .iter()
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
-        let wl = WorkloadId::Viewtype.build(Scale::tiny(), 2);
-        let live = sim.run_sweep(wl.as_ref(), &sizes);
-        let stream = sim.capture(WorkloadId::Viewtype, Scale::tiny(), 2);
-        let replayed = sim.replay_sweep(&stream, &sizes);
-        assert_eq!(replayed.len(), live.len());
-        for (r, l) in replayed.iter().zip(&live) {
-            assert_eq!(r.llc, l.llc);
-            assert_eq!(r.samples, l.samples);
-            assert_eq!(r.per_core_llc, l.per_core_llc);
-            assert_eq!(r.mpki.to_bits(), l.mpki.to_bits());
-        }
+        std::thread::scope(|scope| {
+            for id in WorkloadId::all() {
+                let (sim, llcs) = (&sim, &llcs);
+                scope.spawn(move || {
+                    let live = direct_snoop(sim, id, llcs, &mut cmpsim_faults::NoFaults);
+                    let stream = sim.capture(id, Scale::tiny(), 1);
+                    for shards in [1, 2] {
+                        let replayed = sim.replay_sweep_sharded(&stream, llcs, shards);
+                        assert_eq!(replayed.len(), live.len());
+                        for (r, l) in replayed.iter().zip(&live) {
+                            let l = l.as_ref().expect("a clean live run validates");
+                            assert_same_report(&format!("{id}, {shards} shards"), r, l);
+                        }
+                    }
+                });
+            }
+        });
+
+        let plan = cmpsim_faults::FaultPlan::none(88)
+            .with_drop(0.02)
+            .with_duplicate(0.02)
+            .with_reorder(0.02)
+            .with_corrupt_addr(0.02)
+            .with_tear_pair(0.2)
+            .with_wrong_core(0.05)
+            .with_cycle_jitter(0.05, 200);
+        let (mut live_faults, mut replay_faults) = (plan.build(), plan.build());
+        let live = direct_snoop(&sim, WorkloadId::Fimi, &[cfg.llc], &mut live_faults);
+        let stream = sim.capture(WorkloadId::Fimi, Scale::tiny(), 1);
+        let replayed = sim.replay_with_faults(&stream, &mut replay_faults);
+        assert!(live_faults.faults_injected() > 0, "chaos plan never fired");
+        assert_eq!(live_faults.counters(), replay_faults.counters());
+        // This plan recovers, so every field of the report is compared.
+        let live = live[0].as_ref().expect("combined chaos recovers live");
+        let replayed = replayed.expect("combined chaos recovers on replay");
+        assert_same_report("combined chaos", &replayed, live);
     }
 
     #[test]
@@ -779,14 +780,7 @@ mod tests {
             let sharded = sim.replay_sweep_sharded(&stream, &sizes, shards);
             assert_eq!(sharded.len(), serial.len());
             for (s, r) in sharded.iter().zip(&serial) {
-                assert_eq!(s.llc, r.llc, "{shards} shards: llc differs");
-                assert_eq!(s.samples, r.samples, "{shards} shards: samples differ");
-                assert_eq!(s.per_core_llc, r.per_core_llc);
-                assert_eq!(s.mpki.to_bits(), r.mpki.to_bits());
-                assert_eq!(s.llc_resident_lines, r.llc_resident_lines);
-                // The full metric registries — every per-bank and
-                // per-core counter — serialize identically.
-                assert_eq!(s.metrics.to_json(), r.metrics.to_json());
+                assert_same_report(&format!("{shards} shards"), s, r);
             }
         }
     }
@@ -895,9 +889,8 @@ mod tests {
 
     #[test]
     fn run_counts_wiring() {
-        let wl = WorkloadId::Plsa.build(Scale::tiny(), 4);
         let cfg = CoSimConfig::new(1, 1 << 20).unwrap();
-        let r = CoSimulation::new(cfg).run(wl.as_ref());
+        let r = capture_and_replay(cfg, WorkloadId::Plsa, 4);
         let c = r.run_counts();
         assert_eq!(c.instructions, r.run.instructions);
         assert_eq!(c.mem_fills, r.llc.misses);

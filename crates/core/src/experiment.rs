@@ -174,41 +174,16 @@ impl CacheSizeStudy {
         CacheSizeStudy { scale, cmp, seed }
     }
 
-    /// Runs one workload across the full size sweep (one platform run,
-    /// all cache sizes emulated simultaneously).
-    pub fn run(&self, workload: WorkloadId) -> CacheSizeCurve {
-        self.run_with_sizes(workload, &paper_cache_sizes(self.scale))
+    /// Runs one workload across the full size sweep: the workload's
+    /// stream comes from `broker` — captured at most once per process,
+    /// or loaded from the broker's on-disk store — and every size is a
+    /// replay of it.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> CacheSizeCurve {
+        self.run_with_sizes(broker, workload, &paper_cache_sizes(self.scale))
     }
 
     /// Runs one workload across a custom size list.
-    pub fn run_with_sizes(&self, workload: WorkloadId, sizes: &[u64]) -> CacheSizeCurve {
-        let wl = workload.build(self.scale, self.seed);
-        let cfg = CoSimConfig::scaled(self.cmp.cores(), sizes[0], self.scale)
-            .expect("paper sizes are valid geometries");
-        let llcs: Vec<CacheConfig> = sizes
-            .iter()
-            .map(|&s| CacheConfig::lru(s, 64, 16).expect("paper sizes are valid"))
-            .collect();
-        let reports = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &llcs);
-        CacheSizeCurve {
-            workload,
-            cmp: self.cmp,
-            points: reports.iter().map(point_of).collect(),
-        }
-    }
-
-    /// Like [`run`](CacheSizeStudy::run), but driven from a captured
-    /// stream obtained through `broker`: the workload executes at most
-    /// once per process — or not at all, when the broker's on-disk
-    /// store already holds the stream — and every size is a replay.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> CacheSizeCurve {
-        self.run_with_sizes_captured(broker, workload, &paper_cache_sizes(self.scale))
-    }
-
-    /// Captured twin of
-    /// [`run_with_sizes`](CacheSizeStudy::run_with_sizes); the two
-    /// produce identical curves.
-    pub fn run_with_sizes_captured(
+    pub fn run_with_sizes(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
@@ -228,42 +203,6 @@ impl CacheSizeStudy {
             cmp: self.cmp,
             points: reports.iter().map(point_of).collect(),
         }
-    }
-
-    /// Execute-per-cell baseline: one *full* co-simulation per size,
-    /// the way a single FPGA board forced the paper to measure. Exists
-    /// as the wall-clock baseline for the capture/replay speedup
-    /// recorded in `EXPERIMENTS.md`; produces the same curve as
-    /// [`run_with_sizes`](CacheSizeStudy::run_with_sizes).
-    pub fn run_each(&self, workload: WorkloadId, sizes: &[u64]) -> CacheSizeCurve {
-        let points = sizes
-            .iter()
-            .map(|&s| {
-                let wl = workload.build(self.scale, self.seed);
-                let cfg = CoSimConfig::scaled(self.cmp.cores(), s, self.scale)
-                    .expect("paper sizes are valid geometries");
-                let r = CoSimulation::new(cfg).run(wl.as_ref());
-                point_of(&r)
-            })
-            .collect();
-        CacheSizeCurve {
-            workload,
-            cmp: self.cmp,
-            points,
-        }
-    }
-
-    /// Runs all eight workloads.
-    pub fn run_all(&self) -> Vec<CacheSizeCurve> {
-        WorkloadId::all().iter().map(|&w| self.run(w)).collect()
-    }
-
-    /// Captured twin of [`run_all`](CacheSizeStudy::run_all).
-    pub fn run_all_captured(&self, broker: &CaptureBroker) -> Vec<CacheSizeCurve> {
-        WorkloadId::all()
-            .iter()
-            .map(|&w| self.run_captured(broker, w))
-            .collect()
     }
 }
 
@@ -336,24 +275,10 @@ impl LineSizeStudy {
         }
     }
 
-    /// Runs one workload across the line-size sweep (single platform
-    /// run, one board per line size).
-    pub fn run(&self, workload: WorkloadId) -> LineSizeCurve {
-        let size = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let wl = workload.build(self.scale, self.seed);
-        let cfg = CoSimConfig::scaled(self.cores, size, self.scale).expect("valid geometry");
-        let llcs: Vec<CacheConfig> = paper_line_sizes()
-            .iter()
-            .map(|&line| llc_config(size, line, 16).expect("paper line sizes clamp to valid"))
-            .collect();
-        let reports = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &llcs);
-        Self::curve_of(workload, &reports)
-    }
-
-    /// Captured twin of [`run`](LineSizeStudy::run): one stream (shared
+    /// Runs one workload across the line-size sweep: one stream (shared
     /// with every other study at this `{workload, cores, scale, seed}`)
     /// drives one board per line size.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> LineSizeCurve {
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> LineSizeCurve {
         let size = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
         let cfg = CoSimConfig::scaled(self.cores, size, self.scale).expect("valid geometry");
         let llcs: Vec<CacheConfig> = paper_line_sizes()
@@ -377,11 +302,6 @@ impl LineSizeStudy {
                 })
                 .collect(),
         }
-    }
-
-    /// Runs all eight workloads.
-    pub fn run_all(&self) -> Vec<LineSizeCurve> {
-        WorkloadId::all().iter().map(|&w| self.run(w)).collect()
     }
 }
 
@@ -427,13 +347,14 @@ impl PrefetchStudy {
     }
 
     /// Runs one workload in serial and parallel mode, prefetch off/on,
-    /// and evaluates the timing model. Two platform runs (serial +
-    /// parallel); each feeds a prefetch-off and a prefetch-on board.
-    pub fn run(&self, workload: WorkloadId) -> PrefetchResult {
+    /// and evaluates the timing model. The serial and parallel streams
+    /// come from `broker`; each replays into a prefetch-off and a
+    /// prefetch-on board.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> PrefetchResult {
         let llc_bytes = self.scale.pow2_bytes(self.cache_paper_bytes, 16 << 10);
-        let (serial_speedup, _s_util) = self.speedup(workload, 1, llc_bytes);
+        let (serial_speedup, _s_util) = self.speedup(broker, workload, 1, llc_bytes);
         let (parallel_speedup, parallel_utilization) =
-            self.speedup(workload, self.parallel_threads, llc_bytes);
+            self.speedup(broker, workload, self.parallel_threads, llc_bytes);
         PrefetchResult {
             workload,
             serial_speedup,
@@ -442,23 +363,7 @@ impl PrefetchStudy {
         }
     }
 
-    /// Captured twin of [`run`](PrefetchStudy::run): the serial and
-    /// parallel streams come from `broker`, and the off/on boards are
-    /// driven by replay instead of a second execution.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> PrefetchResult {
-        let llc_bytes = self.scale.pow2_bytes(self.cache_paper_bytes, 16 << 10);
-        let (serial_speedup, _s_util) = self.speedup_captured(broker, workload, 1, llc_bytes);
-        let (parallel_speedup, parallel_utilization) =
-            self.speedup_captured(broker, workload, self.parallel_threads, llc_bytes);
-        PrefetchResult {
-            workload,
-            serial_speedup,
-            parallel_speedup,
-            parallel_utilization,
-        }
-    }
-
-    /// The off/on board pair both paths drive: one plain, one with an
+    /// The off/on board pair: one plain, one with an
     /// era-accurate prefetcher — a small stream table (concurrent
     /// parallel streams compete for entries, one of the reasons the
     /// paper's parallel runs see different gains than serial ones),
@@ -498,31 +403,7 @@ impl PrefetchStudy {
         (t_on.speedup_over(&t_off), t_on.utilization)
     }
 
-    fn speedup(&self, workload: WorkloadId, threads: usize, llc_bytes: u64) -> (f64, f64) {
-        let wl = workload.build(self.scale, self.seed);
-        let cfg = CoSimConfig::scaled(threads, llc_bytes, self.scale).expect("valid geometry");
-        let llc = CacheConfig::lru(llc_bytes, 64, 16).expect("valid geometry");
-        let mut platform = cmpsim_softsdv::VirtualPlatform::new(
-            {
-                let mut p = cmpsim_softsdv::PlatformConfig::new(threads);
-                p.hierarchy = cfg.hierarchy;
-                p
-            },
-            wl.as_ref(),
-        );
-        let mut boards = Self::board_pair(llc);
-        struct Pair<'a>(&'a mut [Dragonhead; 2]);
-        impl cmpsim_softsdv::FsbListener for Pair<'_> {
-            fn transaction(&mut self, txn: &cmpsim_trace::FsbTransaction) {
-                self.0[0].observe(txn);
-                self.0[1].observe(txn);
-            }
-        }
-        let run = platform.run(&mut Pair(&mut boards));
-        self.score(&run, &boards[0], &boards[1], threads)
-    }
-
-    fn speedup_captured(
+    fn speedup(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
@@ -537,11 +418,6 @@ impl PrefetchStudy {
         cmpsim_dragonhead::replay(stream.iter(), &mut boards, stream.run().cycles)
             .expect("captured platform cycles are monotone");
         self.score(stream.run(), &boards[0], &boards[1], threads)
-    }
-
-    /// Runs all eight workloads.
-    pub fn run_all(&self) -> Vec<PrefetchResult> {
-        WorkloadId::all().iter().map(|&w| self.run(w)).collect()
     }
 }
 
@@ -598,17 +474,10 @@ impl Table2Study {
         cfg
     }
 
-    /// Characterizes one workload.
-    pub fn run(&self, workload: WorkloadId) -> Table2Row {
-        let wl = workload.build(self.scale, self.seed);
-        let r = CoSimulation::new(self.config()).run(wl.as_ref());
-        self.row_of(workload, &r.run)
-    }
-
-    /// Captured twin of [`run`](Table2Study::run). Every Table 2 column
-    /// is platform-side, so this needs only the stream's run summary —
-    /// no board is even replayed.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> Table2Row {
+    /// Characterizes one workload. Every Table 2 column is
+    /// platform-side, so this needs only the stream's run summary — no
+    /// board is even replayed.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Table2Row {
         let sim = CoSimulation::new(self.config());
         let stream = sim.captured(broker, workload, self.scale, self.seed);
         self.row_of(workload, stream.run())
@@ -636,11 +505,6 @@ impl Table2Study {
             dl1_mpki: run.l1.mpki(run.instructions),
             dl2_mpki: run.l2.mpki(run.instructions),
         }
-    }
-
-    /// All eight rows, in the paper's order.
-    pub fn run_all(&self) -> Vec<Table2Row> {
-        WorkloadId::all().iter().map(|&w| self.run(w)).collect()
     }
 }
 
@@ -679,27 +543,12 @@ impl SharingStudy {
         }
     }
 
-    /// Runs the ablation for one workload.
-    pub fn run(&self, workload: WorkloadId) -> SharingResult {
+    /// Runs the ablation for one workload. The two thread counts are two
+    /// *different* streams (thread count is platform-side), but each is
+    /// shared with every other study at the same configuration.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> SharingResult {
         let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let misses = |threads: usize| {
-            let wl = workload.build(self.scale, self.seed);
-            let cfg = CoSimConfig::scaled(threads, llc, self.scale).expect("valid geometry");
-            let r = CoSimulation::new(cfg).run(wl.as_ref());
-            // Normalize by instructions: MPKI ratio.
-            r.mpki
-        };
-        let single = misses(1);
-        let eight = misses(8);
-        Self::result_of(workload, single, eight)
-    }
-
-    /// Captured twin of [`run`](SharingStudy::run). The two thread
-    /// counts are two *different* streams (thread count is
-    /// platform-side), but each is shared with every other study at the
-    /// same configuration.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> SharingResult {
-        let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
+        // Normalized by instructions: the ratio is of MPKI.
         let mpki = |threads: usize| {
             let cfg = CoSimConfig::scaled(threads, llc, self.scale).expect("valid geometry");
             let sim = CoSimulation::new(cfg);
@@ -729,49 +578,10 @@ pub struct ReplacementStudy {
 
 impl ReplacementStudy {
     /// Runs one workload on the SCMP size sweep under each policy,
-    /// returning `(policy, curve)` pairs.
-    pub fn run(&self, workload: WorkloadId) -> Vec<(ReplacementPolicy, CacheSizeCurve)> {
-        let sizes = paper_cache_sizes(self.scale);
-        [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::TreePlru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ]
-        .iter()
-        .map(|&policy| {
-            let wl = workload.build(self.scale, self.seed);
-            let cfg = CoSimConfig::scaled(CmpClass::Small.cores(), sizes[0], self.scale)
-                .expect("valid geometry");
-            let llcs: Vec<CacheConfig> = sizes
-                .iter()
-                .map(|&s| {
-                    CacheConfig::builder()
-                        .size_bytes(s)
-                        .line_bytes(64)
-                        .associativity(16)
-                        .replacement(policy)
-                        .build()
-                        .expect("valid geometry")
-                })
-                .collect();
-            let reports = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &llcs);
-            (
-                policy,
-                CacheSizeCurve {
-                    workload,
-                    cmp: CmpClass::Small,
-                    points: reports.iter().map(point_of).collect(),
-                },
-            )
-        })
-        .collect()
-    }
-
-    /// Captured twin of [`run`](ReplacementStudy::run): replacement
-    /// policy is purely board-side, so all four policies (28 boards in
-    /// total) replay one stream.
-    pub fn run_captured(
+    /// returning `(policy, curve)` pairs. Replacement policy is purely
+    /// board-side, so all four policies (28 boards in total) replay one
+    /// stream.
+    pub fn run(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
@@ -837,23 +647,10 @@ impl ProjectionStudy {
         }
     }
 
-    /// MPKI at a fixed LLC for each core count in `cores`.
-    pub fn run(&self, workload: WorkloadId, cores: &[usize]) -> Vec<(usize, f64)> {
-        let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        cores
-            .iter()
-            .map(|&n| {
-                let wl = workload.build(self.scale, self.seed);
-                let cfg = CoSimConfig::scaled(n, llc, self.scale).expect("valid geometry");
-                let r = CoSimulation::new(cfg).run(wl.as_ref());
-                (n, r.mpki)
-            })
-            .collect()
-    }
-
-    /// Captured twin of [`run`](ProjectionStudy::run): each core count
-    /// is its own stream (platform-side), replayed into the fixed LLC.
-    pub fn run_captured(
+    /// MPKI at a fixed LLC for each core count in `cores`. Each core
+    /// count is its own stream (platform-side), replayed into the fixed
+    /// LLC.
+    pub fn run(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
@@ -926,41 +723,16 @@ impl LlcOrganizationStudy {
         }
     }
 
-    /// Runs one workload under both organizations (one platform run,
-    /// both organizations snooping the same bus).
-    pub fn run(&self, workload: WorkloadId) -> LlcOrganizationResult {
-        let total = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let wl = workload.build(self.scale, self.seed);
-        let cfg = CoSimConfig::scaled(self.cores, total, self.scale).expect("valid geometry");
-
-        let mut platform = cmpsim_softsdv::VirtualPlatform::new(
-            {
-                let mut p = cmpsim_softsdv::PlatformConfig::new(self.cores);
-                p.hierarchy = cfg.hierarchy;
-                p
-            },
-            wl.as_ref(),
-        );
-        let mut router = self.router();
-        let run = platform.run(&mut router);
-        Self::result_of(workload, &router, run.instructions)
-    }
-
-    /// Captured twin of [`run`](LlcOrganizationStudy::run): the same
-    /// router walks the recorded stream instead of a live bus.
-    pub fn run_captured(
-        &self,
-        broker: &CaptureBroker,
-        workload: WorkloadId,
-    ) -> LlcOrganizationResult {
-        use cmpsim_softsdv::FsbListener as _;
+    /// Runs one workload under both organizations: one stream walked by
+    /// a router that feeds the shared board and the per-core slices.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> LlcOrganizationResult {
         let total = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
         let cfg = CoSimConfig::scaled(self.cores, total, self.scale).expect("valid geometry");
         let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
         let mut router = self.router();
         for txn in stream.iter() {
-            router.transaction(&txn);
+            router.observe(&txn);
         }
         Self::result_of(workload, &router, stream.run().instructions)
     }
@@ -1001,8 +773,8 @@ impl LlcOrganizationStudy {
     }
 }
 
-/// Both organizations on one bus: a shared board plus per-core private
-/// slices, with data traffic routed by the attributed core.
+/// Both organizations on one stream: a shared board plus per-core
+/// private slices, with data traffic routed by the attributed core.
 struct OrgRouter {
     shared: Dragonhead,
     slices: Vec<Dragonhead>,
@@ -1010,8 +782,8 @@ struct OrgRouter {
     core: usize,
 }
 
-impl cmpsim_softsdv::FsbListener for OrgRouter {
-    fn transaction(&mut self, txn: &cmpsim_trace::FsbTransaction) {
+impl OrgRouter {
+    fn observe(&mut self, txn: &cmpsim_trace::FsbTransaction) {
         self.shared.observe(txn);
         if txn.is_message() {
             if let Ok(Some(cmpsim_trace::Message::CoreId(c))) = self.codec.decode(txn) {
@@ -1076,17 +848,8 @@ impl PhaseStudy {
     }
 
     /// Runs one workload to completion and returns its MPKI-over-time
-    /// series.
-    pub fn run(&self, workload: WorkloadId) -> Vec<PhasePoint> {
-        let wl = workload.build(self.scale, self.seed);
-        let r = CoSimulation::new(self.config()).run(wl.as_ref());
-        Self::series_of(&r.samples)
-    }
-
-    /// Captured twin of [`run`](PhaseStudy::run): the sampler runs
-    /// during replay (sampling is board-side), so the series is
-    /// identical to the live one.
-    pub fn run_captured(&self, broker: &CaptureBroker, workload: WorkloadId) -> Vec<PhasePoint> {
+    /// series. The sampler runs during replay (sampling is board-side).
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Vec<PhasePoint> {
         let sim = CoSimulation::new(self.config());
         let stream = sim.captured(broker, workload, self.scale, self.seed);
         Self::series_of(&sim.replay(&stream).samples)
@@ -1205,8 +968,11 @@ mod tests {
     #[test]
     fn svmrfe_curve_has_knee() {
         let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 1);
-        let curve = study.run_with_sizes(WorkloadId::SvmRfe, &TINY_SIZES);
+        let broker = CaptureBroker::in_memory();
+        let curve = study.run_with_sizes(&broker, WorkloadId::SvmRfe, &TINY_SIZES);
         assert_eq!(curve.points.len(), TINY_SIZES.len());
+        // One execution feeds the whole sweep.
+        assert_eq!(broker.counters().captures, 1);
         // MPKI decreases with size and drops substantially once the
         // blocked working set fits.
         assert!(curve.flatness() < 0.6, "flatness {}", curve.flatness());
@@ -1246,7 +1012,7 @@ mod tests {
     fn line_size_improves_streaming_workload() {
         let mut study = LineSizeStudy::new(Scale::tiny(), 2);
         study.cores = 4; // keep the test fast
-        let curve = study.run(WorkloadId::Shot);
+        let curve = study.run(&CaptureBroker::in_memory(), WorkloadId::Shot);
         assert_eq!(curve.points.len(), paper_line_sizes().len());
         assert!(
             curve.improvement_at(256) > 1.5,
@@ -1259,7 +1025,7 @@ mod tests {
     fn prefetch_speeds_up_streaming_workload() {
         let mut study = PrefetchStudy::new(Scale::tiny(), 3);
         study.parallel_threads = 4;
-        let r = study.run(WorkloadId::Shot);
+        let r = study.run(&CaptureBroker::in_memory(), WorkloadId::Shot);
         assert!(r.serial_speedup > 1.0, "serial {}", r.serial_speedup);
         assert!(r.parallel_speedup > 1.0, "parallel {}", r.parallel_speedup);
     }
@@ -1267,7 +1033,7 @@ mod tests {
     #[test]
     fn table2_plsa_row_matches_paper_shape() {
         let study = Table2Study::new(Scale::tiny(), 4);
-        let row = study.run(WorkloadId::Plsa);
+        let row = study.run(&CaptureBroker::in_memory(), WorkloadId::Plsa);
         assert!((row.memory_fraction - 0.831).abs() < 0.02);
         assert!(row.dl1_apki > 700.0, "PLSA DL1 APKI {}", row.dl1_apki);
         // PLSA has the lowest L2 MPKI in the paper (0.18).
@@ -1281,8 +1047,9 @@ mod tests {
             cores: 4,
             ..LlcOrganizationStudy::new(Scale::tiny(), 8)
         };
-        let svm = study.run(WorkloadId::SvmRfe); // category (a)
-        let shot = study.run(WorkloadId::Shot); // category (b)
+        let broker = CaptureBroker::in_memory();
+        let svm = study.run(&broker, WorkloadId::SvmRfe); // category (a)
+        let shot = study.run(&broker, WorkloadId::Shot); // category (b)
         assert!(
             svm.private_penalty() > 1.0,
             "shared-structure workload must lose with private slices: {:?}",
@@ -1300,7 +1067,7 @@ mod tests {
     fn phase_series_is_produced_and_fimi_has_phases() {
         let mut study = PhaseStudy::new(Scale::tiny(), 6);
         study.sample_period = 5_000;
-        let series = study.run(WorkloadId::Fimi);
+        let series = study.run(&CaptureBroker::in_memory(), WorkloadId::Fimi);
         assert!(series.len() >= 4, "too few samples: {}", series.len());
         // FIMI's three stages (scan, build, mine) have distinct miss
         // behavior; the series must show real variability.
@@ -1325,226 +1092,29 @@ mod tests {
     }
 
     #[test]
-    fn captured_cache_size_curve_matches_direct_and_per_cell() {
-        let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 1);
-        let direct = study.run_with_sizes(WorkloadId::SvmRfe, &TINY_SIZES);
+    fn replacement_study_replays_one_stream_for_every_policy() {
         let broker = CaptureBroker::in_memory();
-        let captured = study.run_with_sizes_captured(&broker, WorkloadId::SvmRfe, &TINY_SIZES);
-        assert_eq!(captured, direct, "replayed curve must be bit-identical");
-        assert_eq!(broker.counters().captures, 1);
-        // The execute-per-cell baseline (the `--no-replay` path at study
-        // level) produces the same curve too.
-        let per_cell = study.run_each(WorkloadId::SvmRfe, &TINY_SIZES);
-        assert_eq!(per_cell, direct);
-    }
-
-    #[test]
-    fn captured_studies_match_direct() {
-        let broker = CaptureBroker::in_memory();
-
-        let t2 = Table2Study::new(Scale::tiny(), 4);
-        assert_eq!(
-            t2.run_captured(&broker, WorkloadId::Plsa),
-            t2.run(WorkloadId::Plsa)
-        );
-
-        let org = LlcOrganizationStudy {
-            cores: 2,
-            ..LlcOrganizationStudy::new(Scale::tiny(), 8)
-        };
-        assert_eq!(
-            org.run_captured(&broker, WorkloadId::Shot),
-            org.run(WorkloadId::Shot)
-        );
-
-        let mut phase = PhaseStudy::new(Scale::tiny(), 6);
-        phase.cores = 2;
-        phase.sample_period = 5_000;
-        let live = phase.run(WorkloadId::Fimi);
-        let replayed = phase.run_captured(&broker, WorkloadId::Fimi);
-        assert_eq!(replayed.len(), live.len());
-        for (r, l) in replayed.iter().zip(&live) {
-            assert_eq!(r.cycle, l.cycle);
-            assert_eq!(r.interval_mpki.to_bits(), l.interval_mpki.to_bits());
-        }
-    }
-
-    #[test]
-    fn captured_prefetch_and_replacement_match_direct() {
-        let broker = CaptureBroker::in_memory();
-
-        let mut pf = PrefetchStudy::new(Scale::tiny(), 3);
-        pf.parallel_threads = 2;
-        assert_eq!(
-            pf.run_captured(&broker, WorkloadId::Shot),
-            pf.run(WorkloadId::Shot)
-        );
-
         let rp = ReplacementStudy {
             scale: Scale::tiny(),
             seed: 2,
         };
-        // The replacement ablation reuses one stream for all four
-        // policies: exactly one capture for this key.
-        let before = broker.counters().captures;
-        let captured = rp.run_captured(&broker, WorkloadId::Fimi);
-        assert_eq!(broker.counters().captures, before + 1);
-        let direct = rp.run(WorkloadId::Fimi);
-        assert_eq!(captured, direct);
-    }
-
-    #[test]
-    #[ignore = "wall-clock benchmark; run manually and record in EXPERIMENTS.md"]
-    fn replay_speedup_benchmark() {
-        use std::time::Instant;
-        let study = CacheSizeStudy::new(Scale::ci(), CmpClass::Small, 1);
-        let sizes = paper_cache_sizes(Scale::ci());
-        let t0 = Instant::now();
-        let per_cell = study.run_each(WorkloadId::Fimi, &sizes);
-        let t_each = t0.elapsed();
-        let broker = CaptureBroker::in_memory();
-        let t1 = Instant::now();
-        let replayed = study.run_with_sizes_captured(&broker, WorkloadId::Fimi, &sizes);
-        let t_replay = t1.elapsed();
-        assert_eq!(per_cell, replayed);
-        let speedup = t_each.as_secs_f64() / t_replay.as_secs_f64();
-        println!(
-            "execute-per-cell: {t_each:?}, capture+replay: {t_replay:?}, speedup {speedup:.2}x"
-        );
-        assert!(
-            speedup >= 2.0,
-            "capture/replay must beat execute-per-cell by 2x, got {speedup:.2}x"
-        );
-    }
-
-    #[test]
-    #[ignore = "wall-clock benchmark; run manually and record in EXPERIMENTS.md"]
-    fn sharded_replay_stage_benchmark() {
-        use std::time::Instant;
-        let sizes = paper_cache_sizes(Scale::ci());
-        let cfg = CoSimConfig::scaled(CmpClass::Small.cores(), sizes[0], Scale::ci())
-            .expect("paper sizes are valid geometries");
-        let llcs: Vec<CacheConfig> = sizes
-            .iter()
-            .map(|&s| CacheConfig::lru(s, 64, 16).expect("paper sizes are valid"))
-            .collect();
-        let sim = CoSimulation::new(cfg);
-        // Disk-backed store: the first run captures (~2 min), re-runs
-        // replay from disk so benchmark iterations measure only replay.
-        let broker = CaptureBroker::with_store(std::env::temp_dir().join("cmpsim-bench-traces"));
-        let stream = sim.captured(&broker, WorkloadId::Fimi, Scale::ci(), 1);
-
-        // Leg 1 — the PR 5 shape: decode once per sweep, drive every
-        // board one transaction at a time through `observe`. (The
-        // per-access arithmetic it exercises is today's — the recorded
-        // pre-change wall time in EXPERIMENTS.md is the true baseline.)
-        let mut boards: Vec<cmpsim_dragonhead::Dragonhead> = llcs
-            .iter()
-            .map(|&llc| {
-                let mut d = cmpsim_dragonhead::DragonheadConfig::new(llc);
-                d.banks = cfg.banks;
-                d.sample_period = cfg.sample_period;
-                cmpsim_dragonhead::Dragonhead::new(d)
-            })
-            .collect();
-        let t0 = Instant::now();
-        for txn in stream.iter() {
-            for board in &mut boards {
-                board.observe(&txn);
-            }
-        }
-        for board in &mut boards {
-            board.flush(stream.run().cycles).unwrap();
-        }
-        let t_per_txn = t0.elapsed();
-
-        // Leg 2 — batched serial: the sharded path at one shard.
-        let t0 = Instant::now();
-        let serial = sim.replay_sweep_sharded(&stream, &llcs, 1);
-        let t_serial = t0.elapsed();
-
-        // Leg 3 — four shards (one thread per board group).
-        let t0 = Instant::now();
-        let sharded = sim.replay_sweep_sharded(&stream, &llcs, 4);
-        let t_sharded = t0.elapsed();
-
-        // All three legs computed the same sweep.
-        for ((b, s), r) in boards.iter().zip(&serial).zip(&sharded) {
-            assert_eq!(b.stats(), s.llc);
-            assert_eq!(s.llc, r.llc);
-            assert_eq!(s.mpki.to_bits(), r.mpki.to_bits());
-        }
-        println!(
-            "replay stage, {} boards x {} txns: per-txn {t_per_txn:?}, \
-             batched serial {t_serial:?}, 4 shards {t_sharded:?}",
-            serial.len(),
-            stream.transactions(),
-        );
-    }
-
-    #[test]
-    #[ignore = "wall-clock profile; run manually when tuning the replay path"]
-    fn replay_hot_path_profile() {
-        use std::time::Instant;
-        let sizes = paper_cache_sizes(Scale::ci());
-        let cfg = CoSimConfig::scaled(CmpClass::Small.cores(), sizes[0], Scale::ci())
-            .expect("paper sizes are valid geometries");
-        let sim = CoSimulation::new(cfg);
-        let broker = CaptureBroker::with_store(std::env::temp_dir().join("cmpsim-bench-traces"));
-        let stream = sim.captured(&broker, WorkloadId::Fimi, Scale::ci(), 1);
-
-        // Stream mix: how much of the replay cost is message decode vs
-        // cache emulation.
-        let mut messages = 0u64;
-        let mut data = 0u64;
-        let t0 = Instant::now();
-        for txn in stream.iter() {
-            if txn.is_message() {
-                messages += 1;
-            } else {
-                data += 1;
-            }
-        }
-        let t_decode = t0.elapsed();
-
-        // Filter-only pass: AF state machine without any cache behind it.
-        let mut af = cmpsim_dragonhead::af::AddressFilter::new();
-        let mut emulated = 0u64;
-        let t0 = Instant::now();
-        for txn in stream.iter() {
-            if matches!(
-                af.filter(&txn),
-                cmpsim_dragonhead::af::FilterOutcome::Emulate { .. }
-            ) {
-                emulated += 1;
-            }
-        }
-        let t_filter = t0.elapsed();
-
-        // One full board.
-        let mut board = Dragonhead::new(DragonheadConfig::new(
-            CacheConfig::lru(sizes[0], 64, 16).unwrap(),
-        ));
-        let chunks = stream.decode_chunks(cmpsim_dragonhead::BATCH_TRANSACTIONS);
-        let t0 = Instant::now();
-        for chunk in chunks.iter() {
-            board.observe_batch(chunk);
-        }
-        let t_board = t0.elapsed();
-
-        println!(
-            "{} txns ({messages} messages, {data} data, {emulated} emulated): \
-             decode {t_decode:?}, decode+filter {t_filter:?}, \
-             decode_chunks+board {t_board:?}",
-            stream.transactions(),
-        );
+        let curves = rp.run(&broker, WorkloadId::Fimi);
+        // Replacement policy is board-side: four policies, one capture.
+        assert_eq!(broker.counters().captures, 1);
+        assert_eq!(curves.len(), 4);
+        assert!(curves.iter().all(|(_, c)| c.points.len() == 7));
+        // The LRU curve is exactly Figure 4's, from the same stream.
+        let fig4 = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 2);
+        assert_eq!(curves[0].1, fig4.run(&broker, WorkloadId::Fimi));
+        assert_eq!(broker.counters().captures, 1);
     }
 
     #[test]
     fn sharing_study_separates_categories() {
         let study = SharingStudy::new(Scale::tiny(), 5);
-        let shot = study.run(WorkloadId::Shot);
-        let svm = study.run(WorkloadId::SvmRfe);
+        let broker = CaptureBroker::in_memory();
+        let shot = study.run(&broker, WorkloadId::Shot);
+        let svm = study.run(&broker, WorkloadId::SvmRfe);
         assert!(!shot.paper_category_shared);
         assert!(svm.paper_category_shared);
         assert!(

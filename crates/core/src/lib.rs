@@ -24,13 +24,19 @@
 //!
 //! # Quickstart
 //!
+//! Every co-simulation runs the platform once while recording its FSB
+//! stream, then replays that stream into the emulated boards — as many
+//! LLC configurations as you like from one execution, because the
+//! emulator is passive:
+//!
 //! ```
 //! use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 //! use cmpsim_core::{Scale, WorkloadId};
 //!
-//! let workload = WorkloadId::Plsa.build(Scale::tiny(), 1);
 //! let cfg = CoSimConfig::new(2, 1 << 20)?; // 2 cores, 1 MB LLC
-//! let report = CoSimulation::new(cfg).run(workload.as_ref());
+//! let sim = CoSimulation::new(cfg);
+//! let stream = sim.capture(WorkloadId::Plsa, Scale::tiny(), 1);
+//! let report = sim.replay(&stream);
 //! assert!(report.run.instructions > 0);
 //! assert!(report.llc.accesses > 0);
 //! # Ok::<(), cmpsim_cache::ConfigError>(())

@@ -85,9 +85,10 @@ mod tests {
     fn document_includes_interval_series() {
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
-        let wl = WorkloadId::Fimi.build(Scale::tiny(), 7);
+        let sim = CoSimulation::new(cfg);
         let mut spans = SpanProfiler::new();
-        let report = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+        let stream = sim.capture_profiled(WorkloadId::Fimi, Scale::tiny(), 7, &mut spans);
+        let report = sim.replay_profiled(&stream, &mut spans);
         let m = manifest("test", &cfg, WorkloadId::Fimi, Scale::tiny(), 7);
         let doc = telemetry_report(m, &report, spans).to_json();
         let intervals = doc.get("intervals").unwrap().as_array().unwrap();

@@ -136,10 +136,10 @@ mod tests {
     use cmpsim_workloads::{Scale, WorkloadId};
 
     fn clean_report() -> (CoSimReport, Validator) {
-        let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
-        let r = CoSimulation::new(cfg).run(wl.as_ref());
+        let sim = CoSimulation::new(cfg);
+        let r = sim.replay(&sim.capture(WorkloadId::Fimi, Scale::tiny(), 1));
         (r, Validator::new(cfg.sample_period))
     }
 

@@ -40,7 +40,6 @@
 //! assert_eq!(doc.get("metrics").unwrap().as_array().unwrap().len(), 1);
 //! ```
 
-pub mod bench;
 pub mod chrome;
 pub mod manifest;
 pub mod registry;
@@ -49,7 +48,6 @@ pub mod timeline;
 pub mod trace;
 pub mod value;
 
-pub use bench::{BenchHarness, BenchResult};
 pub use chrome::chrome_trace;
 pub use manifest::{scrub_path, RunManifest, SCHEMA_VERSION};
 pub use registry::{Histogram, Labels, Metric, MetricRegistry, MetricValue};

@@ -1,7 +1,7 @@
 //! Cache design-space exploration — the paper's headline use case.
 //!
 //! Sweeps the shared-LLC size for a chosen workload on all three CMP
-//! classes (one platform run per class emulates every size at once),
+//! classes (one platform run per class, replayed into every size),
 //! prints the MPKI curves, finds working-set knees, and prints the
 //! DRAM-cache recommendation the paper's conclusions draw.
 //!
@@ -12,7 +12,7 @@
 
 use cmpsim_core::experiment::{paper_cache_sizes, CacheSizeStudy, CmpClass};
 use cmpsim_core::report::{human_bytes, TextTable};
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CaptureBroker, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -37,9 +37,10 @@ fn main() {
         std::iter::once("LLC size".to_owned())
             .chain(CmpClass::all().iter().map(|c| c.name().to_owned())),
     );
+    let broker = CaptureBroker::in_memory();
     let curves: Vec<_> = CmpClass::all()
         .iter()
-        .map(|&cmp| CacheSizeStudy::new(scale, cmp, 2007).run_with_sizes(workload, &sizes))
+        .map(|&cmp| CacheSizeStudy::new(scale, cmp, 2007).run_with_sizes(&broker, workload, &sizes))
         .collect();
     for (i, &size) in sizes.iter().enumerate() {
         table.row(

@@ -42,7 +42,9 @@ fn main() {
 
     let llc_bytes = scale.pow2_bytes(32 << 20, 64 << 10);
     let cfg = CoSimConfig::new(cores, llc_bytes).expect("valid geometry");
-    let report = CoSimulation::new(cfg).run(workload_instance.as_ref());
+    let sim = CoSimulation::new(cfg);
+    let stream = sim.capture_workload(workload_instance.as_ref(), scale, 2007);
+    let report = sim.replay(&stream);
 
     println!();
     println!("platform (SoftSDV side)");

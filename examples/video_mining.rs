@@ -31,8 +31,8 @@ fn main() {
 
     // --- SHOT: boundary detection quality ---------------------------
     let shot = Shot::new(scale, 42);
-    let cfg = CoSimConfig::new(8, llc).expect("valid geometry");
-    let report = CoSimulation::new(cfg).run(&shot);
+    let sim = CoSimulation::new(CoSimConfig::new(8, llc).expect("valid geometry"));
+    let report = sim.replay(&sim.capture_workload(&shot, scale, 42));
     let truth: Vec<u32> = shot.ground_truth()[1..].to_vec();
     let detected = shot.detected_boundaries();
     let hits = truth.iter().filter(|b| detected.contains(b)).count();
@@ -52,7 +52,7 @@ fn main() {
 
     // --- VIEWTYPE: classification distribution ----------------------
     let vt = Viewtype::new(scale, 42);
-    let report_vt = CoSimulation::new(cfg).run(&vt);
+    let report_vt = sim.replay(&sim.capture_workload(&vt, scale, 42));
     let classes = vt.classifications();
     let mut counts = std::collections::BTreeMap::new();
     for (_, c) in &classes {
@@ -75,9 +75,9 @@ fn main() {
     let mut table = TextTable::new(["threads", "SHOT", "VIEWTYPE"]);
     for threads in [1usize, 2, 4, 8] {
         let mpki_of = |id: WorkloadId| {
-            let wl = id.build(scale, 42);
             let cfg = CoSimConfig::new(threads, llc).expect("valid geometry");
-            CoSimulation::new(cfg).run(wl.as_ref()).mpki
+            let sim = CoSimulation::new(cfg);
+            sim.replay(&sim.capture(id, scale, 42)).mpki
         };
         table.row([
             threads.to_string(),

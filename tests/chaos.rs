@@ -1,9 +1,10 @@
 //! Chaos suite: seeded fault-injection scenarios on the co-simulated
 //! bus.
 //!
-//! Every scenario perturbs the FSB stream between the virtual platform
-//! and the Dragonhead board through a deterministic [`SeededFaults`]
-//! plan, then requires one of exactly two endings:
+//! Every scenario captures the FSB stream of one platform run, then
+//! perturbs it between decode and the Dragonhead board through a
+//! deterministic [`SeededFaults`] plan, and requires one of exactly two
+//! endings:
 //!
 //! 1. **Recovery** — the run completes, the report passes the full
 //!    invariant catalogue, and the injection census plus the board's
@@ -15,7 +16,7 @@
 use cmpsim_core::cosim::{CoSimConfig, CoSimReport, CoSimulation};
 use cmpsim_core::error::CoSimError;
 use cmpsim_core::faults::{FaultInjector, FaultPlan, NoFaults, SeededFaults};
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CapturedStream, Scale, WorkloadId};
 
 fn config() -> CoSimConfig {
     let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
@@ -23,11 +24,18 @@ fn config() -> CoSimConfig {
     cfg
 }
 
-/// Runs FIMI/tiny under `injector`, returning the outcome and the
+/// The captured FIMI/tiny stream every scenario perturbs.
+fn fimi() -> (CoSimulation, CapturedStream) {
+    let sim = CoSimulation::new(config());
+    let stream = sim.capture(WorkloadId::Fimi, Scale::tiny(), 1);
+    (sim, stream)
+}
+
+/// Replays FIMI/tiny under `injector`, returning the outcome and the
 /// number of faults actually injected.
 fn scenario(injector: &mut SeededFaults) -> (Result<CoSimReport, CoSimError>, u64) {
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
-    let result = CoSimulation::new(config()).run_with_faults(wl.as_ref(), injector);
+    let (sim, stream) = fimi();
+    let result = sim.replay_with_faults(&stream, injector);
     (result, injector.faults_injected())
 }
 
@@ -168,16 +176,9 @@ fn chaos_is_deterministic_per_seed() {
 
 #[test]
 fn fault_free_path_matches_the_clean_run_exactly() {
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
-    let clean = CoSimulation::new(config())
-        .run_checked(wl.as_ref())
-        .unwrap();
-
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
-    let mut none = NoFaults;
-    let faultless = CoSimulation::new(config())
-        .run_with_faults(wl.as_ref(), &mut none)
-        .unwrap();
+    let (sim, stream) = fimi();
+    let clean = sim.replay(&stream);
+    let faultless = sim.replay_with_faults(&stream, &mut NoFaults).unwrap();
 
     assert_eq!(clean.llc.accesses, faultless.llc.accesses);
     assert_eq!(clean.llc.hits, faultless.llc.hits);

@@ -1,8 +1,8 @@
 //! Workspace integration: every workload through the full co-simulation
 //! stack (kernels → DEX platform → coherent private caches → FSB with
-//! message protocol → Dragonhead → counters).
+//! message protocol → captured stream → Dragonhead → counters).
 
-use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
+use cmpsim_core::cosim::{CoSimConfig, CoSimReport, CoSimulation};
 use cmpsim_core::{Scale, WorkloadId};
 use cmpsim_softsdv::HostNoiseConfig;
 
@@ -10,11 +10,16 @@ fn tiny_cfg(cores: usize) -> CoSimConfig {
     CoSimConfig::new(cores, 1 << 20).expect("valid geometry")
 }
 
+/// Captures `id` at tiny scale under `cfg` and replays it into the board.
+fn cosim(cfg: CoSimConfig, id: WorkloadId, seed: u64) -> CoSimReport {
+    let sim = CoSimulation::new(cfg);
+    sim.replay(&sim.capture(id, Scale::tiny(), seed))
+}
+
 #[test]
 fn every_workload_completes_with_consistent_counters() {
     for id in WorkloadId::all() {
-        let wl = id.build(Scale::tiny(), 7);
-        let r = CoSimulation::new(tiny_cfg(4)).run(wl.as_ref());
+        let r = cosim(tiny_cfg(4), id, 7);
         assert!(r.run.instructions > 0, "{id}: no instructions");
         assert!(r.llc.accesses > 0, "{id}: LLC never accessed");
         assert_eq!(
@@ -44,8 +49,7 @@ fn every_workload_completes_with_consistent_counters() {
 fn cosim_is_deterministic() {
     for id in [WorkloadId::Fimi, WorkloadId::Shot, WorkloadId::Mds] {
         let run = || {
-            let wl = id.build(Scale::tiny(), 11);
-            let r = CoSimulation::new(tiny_cfg(2)).run(wl.as_ref());
+            let r = cosim(tiny_cfg(2), id, 11);
             (
                 r.run.instructions,
                 r.llc.accesses,
@@ -60,17 +64,13 @@ fn cosim_is_deterministic() {
 #[test]
 fn host_noise_is_fully_excluded() {
     let id = WorkloadId::Plsa;
-    let base = {
-        let wl = id.build(Scale::tiny(), 3);
-        CoSimulation::new(tiny_cfg(2)).run(wl.as_ref())
-    };
+    let base = cosim(tiny_cfg(2), id, 3);
     let noisy = {
-        let wl = id.build(Scale::tiny(), 3);
         let mut cfg = tiny_cfg(2);
         cfg.host_noise = Some(HostNoiseConfig {
             transactions_per_switch: 16,
         });
-        CoSimulation::new(cfg).run(wl.as_ref())
+        cosim(cfg, id, 3)
     };
     // The AF must drop every injected host transaction: LLC counters
     // identical with and without noise.
@@ -80,10 +80,9 @@ fn host_noise_is_fully_excluded() {
 
 #[test]
 fn samples_accumulate_over_the_run() {
-    let wl = WorkloadId::Viewtype.build(Scale::tiny(), 5);
     let mut cfg = tiny_cfg(2);
     cfg.sample_period = 2_000;
-    let r = CoSimulation::new(cfg).run(wl.as_ref());
+    let r = cosim(cfg, WorkloadId::Viewtype, 5);
     assert!(
         r.samples.len() >= 4,
         "expected several 500us samples, got {}",
@@ -102,13 +101,7 @@ fn samples_accumulate_over_the_run() {
 fn more_cores_do_not_lose_work() {
     // The same workload partitioned over more virtual cores retires a
     // comparable instruction total (work is split, not duplicated).
-    let total = |cores: usize| {
-        let wl = WorkloadId::Mds.build(Scale::tiny(), 9);
-        CoSimulation::new(tiny_cfg(cores))
-            .run(wl.as_ref())
-            .run
-            .instructions
-    };
+    let total = |cores: usize| cosim(tiny_cfg(cores), WorkloadId::Mds, 9).run.instructions;
     let one = total(1) as f64;
     let eight = total(8) as f64;
     assert!(

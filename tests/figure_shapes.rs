@@ -9,7 +9,7 @@
 use cmpsim_core::experiment::{
     CacheSizeStudy, CmpClass, LineSizeStudy, PrefetchStudy, SharingStudy,
 };
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CaptureBroker, Scale, WorkloadId};
 
 const SEED: u64 = 2007;
 
@@ -20,8 +20,9 @@ const TEST_SIZES: [u64; 4] = [64 << 10, 256 << 10, 1 << 20, 2 << 20];
 #[test]
 fn fig4_most_workloads_benefit_from_cache_size() {
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
+    let broker = CaptureBroker::in_memory();
     for id in [WorkloadId::SvmRfe, WorkloadId::Fimi, WorkloadId::Viewtype] {
-        let curve = study.run_with_sizes(id, &TEST_SIZES);
+        let curve = study.run_with_sizes(&broker, id, &TEST_SIZES);
         assert!(
             curve.flatness() < 0.75,
             "{id}: expected MPKI to fall with size, flatness {} points {:?}",
@@ -38,7 +39,8 @@ fn fig4_mds_is_flat() {
     // matrix of 300MB" — at tiny scale the matrix is ~1.2 MB streamed,
     // far beyond the scaled cache's reuse window.
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
-    let curve = study.run_with_sizes(WorkloadId::Mds, &TEST_SIZES[..3]);
+    let broker = CaptureBroker::in_memory();
+    let curve = study.run_with_sizes(&broker, WorkloadId::Mds, &TEST_SIZES[..3]);
     assert!(
         curve.flatness() > 0.7,
         "MDS should stay flat: {:?}",
@@ -51,11 +53,12 @@ fn fig5_category_a_flat_category_b_grows_with_threads() {
     // §4.3's two categories, measured as MPKI growth from 1 to 8 threads
     // at a fixed LLC.
     let study = SharingStudy::new(Scale::tiny(), SEED);
+    let broker = CaptureBroker::in_memory();
     let shared = [WorkloadId::SvmRfe, WorkloadId::Mds];
     let private = [WorkloadId::Shot, WorkloadId::Viewtype];
     let mut worst_shared: f64 = 0.0;
     for id in shared {
-        let r = study.run(id);
+        let r = study.run(&broker, id);
         worst_shared = worst_shared.max(r.miss_growth_8x);
         assert!(
             r.miss_growth_8x < 2.0,
@@ -64,7 +67,7 @@ fn fig5_category_a_flat_category_b_grows_with_threads() {
         );
     }
     for id in private {
-        let r = study.run(id);
+        let r = study.run(&broker, id);
         assert!(
             r.miss_growth_8x > worst_shared,
             "{id}: category (b) ({}) should exceed category (a) ({worst_shared})",
@@ -77,8 +80,9 @@ fn fig5_category_a_flat_category_b_grows_with_threads() {
 fn fig7_line_size_helps_streaming_workloads() {
     let mut study = LineSizeStudy::new(Scale::tiny(), SEED);
     study.cores = 4; // keep test runtime bounded
+    let broker = CaptureBroker::in_memory();
     for id in [WorkloadId::Shot, WorkloadId::Mds] {
-        let curve = study.run(id);
+        let curve = study.run(&broker, id);
         // "SHOT, MDS, SNP, and SVM-RFE almost get linear miss reductions
         // (around 1/3 to 1/4) from 64B to 256B".
         let gain = curve.improvement_at(256);
@@ -99,7 +103,8 @@ fn fig8_prefetch_helps_and_bandwidth_punishes_parallel_mds() {
     study.parallel_threads = 8; // bounded runtime; same asymmetry
                                 // MDS: high miss rate -> parallel bandwidth contention eats the
                                 // prefetch benefit (paper: serial gain > parallel gain).
-    let mds = study.run(WorkloadId::Mds);
+    let broker = CaptureBroker::in_memory();
+    let mds = study.run(&broker, WorkloadId::Mds);
     assert!(
         mds.serial_speedup > 1.0,
         "MDS serial {}",
@@ -113,7 +118,7 @@ fn fig8_prefetch_helps_and_bandwidth_punishes_parallel_mds() {
     );
     // PLSA: low miss rate, bandwidth headroom -> parallel benefits at
     // least comparably (paper: parallel gain >= serial gain).
-    let plsa = study.run(WorkloadId::Plsa);
+    let plsa = study.run(&broker, WorkloadId::Plsa);
     assert!(
         plsa.parallel_speedup >= plsa.serial_speedup * 0.95,
         "PLSA: parallel {} vs serial {}",
@@ -130,13 +135,14 @@ fn working_sets_order_matches_paper() {
     // its gene-count floor pins the matrix size, which distorts its knee
     // — the CI/paper-scale runs in EXPERIMENTS.md cover it.)
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
+    let broker = CaptureBroker::in_memory();
     let sizes: Vec<u64> = [16u64 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20].to_vec();
-    let snp = study.run_with_sizes(WorkloadId::Snp, &sizes);
-    let shot = study.run_with_sizes(WorkloadId::Shot, &sizes);
+    let snp = study.run_with_sizes(&broker, WorkloadId::Snp, &sizes);
+    let shot = study.run_with_sizes(&broker, WorkloadId::Shot, &sizes);
     // MDS is only sampled inside the paper's sweep range: the paper's
     // largest cache (256 MB -> 1 MB at this scale) stays *below* the
     // 300 MB-class matrix; past it even MDS would fit and knee.
-    let mds = study.run_with_sizes(WorkloadId::Mds, &sizes[..4]);
+    let mds = study.run_with_sizes(&broker, WorkloadId::Mds, &sizes[..4]);
     let snp_knee = snp.knee(0.2);
     let shot_knee = shot.knee(0.2);
     assert!(

@@ -1,10 +1,11 @@
 //! Tier-1 capture/replay equivalence guarantee: a figure binary must
 //! produce byte-identical stdout, identical JSON `results`, and
 //! identical journalled `job_done` records whether each grid cell
-//! replays one captured FSB stream into every LLC configuration (the
-//! default), re-executes the co-simulation per configuration
-//! (`--no-replay`), or replays streams loaded from an on-disk
-//! `--trace-dir` store written by an earlier run.
+//! replays a stream captured in memory (the default), a stream it just
+//! wrote to a `--trace-dir` store, or a stream loaded from a store an
+//! earlier run wrote — and at any replay shard count. That replay
+//! equals snooping the live bus is pinned once, at library level, by
+//! the direct-snoop oracle (`cosim::tests::replay_of_capture_matches_live_run`).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -70,19 +71,17 @@ fn job_done_lines(journal_dir: &Path, id: &str) -> Vec<String> {
         .collect()
 }
 
+/// The execute-per-cell baseline is the direct-snoop oracle now; this
+/// pins that every place a stream can come from replays to the same
+/// bytes.
 #[test]
 fn replayed_grid_matches_execute_per_cell() {
     let dir = temp_dir("replay-eq");
     let traces = dir.join("traces");
     let journal = dir.join("journal");
     let jflag = journal.to_str().unwrap().to_owned();
+    let tflag = traces.to_str().unwrap().to_owned();
 
-    // The baseline: one full co-simulation per grid cell and LLC size,
-    // exactly the paper's single-FPGA methodology.
-    let executed = run_fig4(
-        &["--no-replay", "--journal-dir", &jflag, "--run-id", "exec"],
-        &dir.join("exec.json"),
-    );
     // Capture-once/replay-many with the in-memory broker (the default).
     let replayed = run_fig4(
         &["--journal-dir", &jflag, "--run-id", "replay"],
@@ -90,32 +89,37 @@ fn replayed_grid_matches_execute_per_cell() {
     );
     // Capture to an on-disk store, then replay a second run entirely
     // from it.
-    let tflag = traces.to_str().unwrap().to_owned();
-    let cold = run_fig4(&["--trace-dir", &tflag], &dir.join("cold.json"));
+    let cold = run_fig4(
+        &[
+            "--trace-dir",
+            &tflag,
+            "--journal-dir",
+            &jflag,
+            "--run-id",
+            "cold",
+        ],
+        &dir.join("cold.json"),
+    );
     let warm = run_fig4(&["--trace-dir", &tflag], &dir.join("warm.json"));
 
-    // Stdout is byte-identical across all four strategies.
-    assert_eq!(executed.stdout, replayed.stdout, "replay stdout differs");
-    assert_eq!(executed.stdout, cold.stdout, "cold-store stdout differs");
-    assert_eq!(executed.stdout, warm.stdout, "warm-store stdout differs");
+    // Stdout is byte-identical across all three stream sources.
+    assert_eq!(replayed.stdout, cold.stdout, "cold-store stdout differs");
+    assert_eq!(replayed.stdout, warm.stdout, "warm-store stdout differs");
 
     // So is the JSON results payload.
-    let exec_doc = read_doc(&dir.join("exec.json"));
-    let results = exec_doc.get("results").expect("results key");
+    let replay_doc = read_doc(&dir.join("replay.json"));
+    let results = replay_doc.get("results").expect("results key");
     assert_eq!(results.as_array().map(<[_]>::len), Some(2));
-    for name in ["replay", "cold", "warm"] {
+    for name in ["cold", "warm"] {
         let doc = read_doc(&dir.join(format!("{name}.json")));
         assert_eq!(Some(results), doc.get("results"), "{name} results differ");
     }
 
-    // The manifest counters tell the strategies apart: --no-replay never
-    // captured; the in-memory and cold-store runs captured one stream
-    // per workload; the warm run captured nothing and loaded both from
-    // disk.
-    let replay_doc = read_doc(&dir.join("replay.json"));
+    // The manifest counters tell the sources apart: the in-memory and
+    // cold-store runs captured one stream per workload; the warm run
+    // captured nothing and loaded both from disk.
     let cold_doc = read_doc(&dir.join("cold.json"));
     let warm_doc = read_doc(&dir.join("warm.json"));
-    assert_eq!(counter(&exec_doc, "trace_captures"), None);
     assert_eq!(counter(&replay_doc, "trace_captures"), Some(2));
     assert_eq!(counter(&replay_doc, "trace_disk_loads"), None);
     assert_eq!(counter(&cold_doc, "trace_captures"), Some(2));
@@ -124,10 +128,10 @@ fn replayed_grid_matches_execute_per_cell() {
 
     // And the write-ahead journal recorded byte-identical terminal
     // outcomes for every cell.
-    let exec_journal = job_done_lines(&journal, "exec");
     let replay_journal = job_done_lines(&journal, "replay");
-    assert_eq!(exec_journal.len(), 2);
-    assert_eq!(exec_journal, replay_journal, "journal outcomes differ");
+    let cold_journal = job_done_lines(&journal, "cold");
+    assert_eq!(replay_journal.len(), 2);
+    assert_eq!(replay_journal, cold_journal, "journal outcomes differ");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
