@@ -30,22 +30,23 @@
 //! `--connect ADDR`) and renders byte-identical output from the
 //! streamed results; `status` prints the daemon's lifetime counters.
 
-use cmpsim_bench::{parse_scale, results_json};
+use cmpsim_bench::{
+    child_argv, export_trace, journal_config, parse_scale, results_json, resume_command,
+    submit_cells, write_twin,
+};
 use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 use cmpsim_core::experiment::{CacheSizeStudy, CmpClass};
-use cmpsim_core::grid::{self, run_grid_supervised, GridSpec};
+use cmpsim_core::grid::{run_grid_supervised, GridSpec};
 use cmpsim_core::report::{human_bytes, TextTable};
 use cmpsim_core::runner::{
-    child_trace_requested, emit_result, emit_trace, record, shutdown, IsolateMode, JournalConfig,
-    RunnerConfig, CHILD_ENTRY,
+    child_trace_requested, emit_result, emit_trace, record, shutdown, IsolateMode, RunnerConfig,
+    CHILD_ENTRY,
 };
 use cmpsim_core::tel::trace::{self as ftrace, FlightRecorder, TraceSummary};
-use cmpsim_core::tel::{
-    chrome_trace, scrub_path, write_json_file, JsonValue, RunManifest, SpanProfiler,
-};
+use cmpsim_core::tel::{scrub_path, write_json_file, JsonValue, RunManifest, SpanProfiler};
 use cmpsim_core::{telemetry, CaptureBroker, Scale, WorkloadId};
 use cmpsim_dragonhead::{Dragonhead, DragonheadConfig};
-use cmpsim_service::{AgentConfig, CellSpec, Coordinator, ServeConfig, Submission};
+use cmpsim_service::{AgentConfig, Coordinator, ServeConfig};
 use cmpsim_trace::file::TraceReader;
 use std::fs::File;
 use std::io::BufReader;
@@ -329,18 +330,34 @@ fn cmd_grid(args: &[String]) -> i32 {
     let spec = GridSpec::new("cmpsim_grid", cli.scale, cli.seed, cli.workloads.clone())
         .param("cmp", cmp)
         .param("line", 64);
+    // The base argv a supervised child (local or on the service)
+    // recomputes one cell from: `cmpsim __run-job <W> grid <base>` — the
+    // grid arguments minus every parent-only concern (the parent owns
+    // parallelism, caching, journalling, isolation, and output). The
+    // shard count is resolved here: its default follows --jobs, which
+    // the child never sees (a child must not recurse).
+    let child_base: Vec<String> = std::iter::once("grid".to_owned())
+        .chain(child_argv(args, cli.effective_replay_shards()))
+        .collect();
     // In service-client mode the coordinator owns journalling, caching,
     // isolation, and the trace sidecar — locally there is nothing to
     // record, and the broker stays unused (its counters stay zero).
     let mut recorder = None;
     let broker = Arc::new(CaptureBroker::new(cli.trace_dir.clone()));
     let report = if let Some(addr) = &cli.connect {
-        match service_submit(&cli, addr, &spec, args) {
+        let run_id = cli.resume.clone().or_else(|| cli.run_id.clone());
+        let resume = cli.resume.is_some();
+        match submit_cells(addr, &spec, &child_base, run_id, resume, cli.quiet) {
             Ok(report) => report,
             Err(e) => return fail(&e),
         }
     } else {
-        let journal = journal_config(&cli);
+        let journal = journal_config(
+            cli.journal_dir.as_deref(),
+            cli.run_id.as_deref(),
+            cli.resume.as_deref(),
+            "cmpsim_grid",
+        );
         // Record a timeline whenever someone will consume it: an
         // explicit `--trace-out`, or a journalled run (JSONL sidecar
         // for `report`).
@@ -358,20 +375,6 @@ fn cmd_grid(args: &[String]) -> i32 {
             tracer: recorder.clone(),
             ..RunnerConfig::default()
         };
-        // The base argv a supervised child recomputes one cell from:
-        // `cmpsim __run-job <W> grid <base>` — the original grid
-        // arguments minus every parent-only concern (the parent owns
-        // parallelism, caching, journalling, isolation, and output).
-        let child_base: Vec<String> = std::iter::once("grid".to_owned())
-            .chain(strip_parent_flags(args))
-            .chain(std::iter::once("--no-cache".to_owned()))
-            .chain([
-                // Resolved here: the default follows --jobs, which the
-                // child never sees (a child must not recurse).
-                "--replay-shards".to_owned(),
-                cli.effective_replay_shards().to_string(),
-            ])
-            .collect();
         let base = (cli.isolate == IsolateMode::Process).then_some(child_base.as_slice());
         let cell_broker = broker.clone();
         run_grid_supervised(&spec, &runner, base, move |w| {
@@ -384,85 +387,21 @@ fn cmd_grid(args: &[String]) -> i32 {
         .collect();
     println!("{}", cmpsim_core::report::render_cache_size_figure(&curves));
     if let Some(rec) = &recorder {
-        let events = rec.drain_sorted();
-        let lanes = rec.lane_names();
-        let dropped = rec.dropped();
-        let mut meta: Vec<(String, JsonValue)> = vec![
-            ("experiment".to_owned(), JsonValue::from("cmpsim_grid")),
-            ("seed".to_owned(), JsonValue::U64(cli.seed)),
-            ("workers".to_owned(), JsonValue::U64(report.workers as u64)),
-        ];
-        if let Some(run_id) = &report.run_id {
-            meta.push(("run_id".to_owned(), JsonValue::from(run_id.as_str())));
-        }
-        if let Some(path) = &cli.trace_out {
-            let doc = chrome_trace(&events, &lanes, &meta, dropped);
-            if let Err(e) = write_json_file(path, &doc) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
-        if let Some(run_id) = &report.run_id {
-            let path = cli
-                .journal_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("results/journal"))
-                .join(format!("{run_id}.trace.jsonl"));
-            if let Err(e) = ftrace::write_jsonl(&path, &meta, &lanes, &events, dropped) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
-            }
+        let (out, dir) = (cli.trace_out.as_deref(), cli.journal_dir.as_deref());
+        if let Err(e) = export_trace(rec, &spec, &report, out, dir) {
+            return fail(&e);
         }
     }
     if let Some(path) = cli.json_path("cmpsim_grid") {
-        let mut manifest = RunManifest::new("cmpsim_grid", env!("CARGO_PKG_VERSION"))
+        let manifest = RunManifest::new("cmpsim_grid", env!("CARGO_PKG_VERSION"))
             .with_workloads(cli.workloads.iter().copied())
             .with_scale_seed(cli.scale, cli.seed)
             .config_entry("cmp", cmp.to_string())
-            .config_entry("cores", cmp.cores() as u64)
-            .config_entry("runner_jobs", report.workers)
-            .config_entry("runner_ok", report.ok_count())
-            .config_entry("runner_cached", report.cached_count())
-            .config_entry("runner_failed", report.failed_count());
-        // Recovery counters appear only when the crash-safety machinery
-        // did something, so a clean run's manifest is unchanged.
-        if report.replayed_count() > 0 {
-            manifest = manifest.config_entry("runner_replayed", report.replayed_count());
+            .config_entry("cores", cmp.cores() as u64);
+        let results = JsonValue::Array(report.payloads().cloned().collect());
+        if let Err(e) = write_twin(&path, manifest, &report, broker.counters(), results) {
+            return fail(&e);
         }
-        if report.recovered > 0 {
-            manifest = manifest.config_entry("runner_recovered", report.recovered);
-        }
-        if report.skipped_count() > 0 {
-            manifest = manifest.config_entry("runner_skipped", report.skipped_count());
-        }
-        if report.poisoned_count() > 0 {
-            manifest = manifest.config_entry("runner_poisoned", report.poisoned_count());
-        }
-        if report.interrupted {
-            manifest = manifest.config_entry("runner_interrupted", 1u64);
-        }
-        // Capture-pipeline counters, likewise only when nonzero.
-        let t = broker.counters();
-        if t.captures > 0 {
-            manifest = manifest.config_entry("trace_captures", t.captures);
-        }
-        if t.memory_reuses > 0 {
-            manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
-        }
-        if t.disk_loads > 0 {
-            manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
-        }
-        let doc = JsonValue::object([
-            ("manifest", manifest.to_json()),
-            (
-                "results",
-                JsonValue::Array(report.payloads().cloned().collect()),
-            ),
-            ("runner", report.to_json()),
-        ]);
-        if let Err(e) = write_json_file(&path, &doc) {
-            return fail(&format!("cannot write {}: {e}", path.display()));
-        }
-        eprintln!("wrote {}", path.display());
     }
     if !cli.quiet {
         eprintln!("runner: {}", report.summary());
@@ -470,120 +409,11 @@ fn cmd_grid(args: &[String]) -> i32 {
     for (label, error) in report.failures() {
         eprintln!("runner: job `{label}` failed: {error}");
     }
-    if report.interrupted {
-        if let Some(run_id) = &report.run_id {
-            let mut resume_args: Vec<String> = vec!["cmpsim".into(), "grid".into()];
-            let mut it = args.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--resume" | "--run-id" => {
-                        it.next();
-                    }
-                    other => resume_args.push(other.to_owned()),
-                }
-            }
-            resume_args.push("--resume".to_owned());
-            resume_args.push(run_id.clone());
-            eprintln!(
-                "runner: interrupted — resume with: {}",
-                resume_args.join(" ")
-            );
-        }
+    if let (true, Some(run_id)) = (report.interrupted, &report.run_id) {
+        let resume = resume_command("cmpsim grid", args, run_id);
+        eprintln!("runner: interrupted — resume with: {resume}");
     }
     i32::from(report.failed_count() > 0)
-}
-
-/// The journal configuration `grid` flags describe, or `None` when
-/// journalling is off (the default).
-fn journal_config(cli: &Cli) -> Option<JournalConfig> {
-    if cli.resume.is_none() && cli.journal_dir.is_none() && cli.run_id.is_none() {
-        return None;
-    }
-    let dir = cli
-        .journal_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("results/journal"));
-    Some(match &cli.resume {
-        Some(id) => JournalConfig::new(dir, id.clone()).resuming(),
-        None => {
-            let id = cli
-                .run_id
-                .clone()
-                .unwrap_or_else(|| grid::fresh_run_id("cmpsim_grid"));
-            JournalConfig::new(dir, id)
-        }
-    })
-}
-
-/// Strips the flags a supervised child must not inherit: parallelism,
-/// caching, journalling, isolation (a child never recurses), workload
-/// selection (the cell is named by `__run-job`), and output paths.
-fn strip_parent_flags(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "--cache-dir" | "--metrics-out" | "--journal-dir" | "--run-id"
-            | "--resume" | "--isolate" | "--retries" | "--workloads" | "--trace-out"
-            | "--connect" | "--replay-shards" => {
-                it.next();
-            }
-            "--json" | "--no-cache" | "--quiet" => {}
-            other => out.push(other.to_owned()),
-        }
-    }
-    out
-}
-
-/// Submits the grid the flags describe to a `cmpsim serve` coordinator
-/// and blocks until the streamed report is complete. Cells carry the
-/// exact `__run-job` argv a local `--isolate process` run would use and
-/// the same cache keys, so the daemon's shared cache and a local one
-/// address identical results — and the caller's rendering path prints
-/// byte-identical output from the returned report.
-fn service_submit(
-    cli: &Cli,
-    addr: &str,
-    spec: &GridSpec,
-    args: &[String],
-) -> Result<cmpsim_core::runner::RunReport, String> {
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot resolve the current executable: {e}"))?;
-    let base: Vec<String> = std::iter::once("grid".to_owned())
-        .chain(strip_parent_flags(args))
-        .chain(std::iter::once("--no-cache".to_owned()))
-        .chain([
-            "--replay-shards".to_owned(),
-            cli.effective_replay_shards().to_string(),
-        ])
-        .collect();
-    let cells = spec
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(seq, &w)| {
-            let mut argv = vec![CHILD_ENTRY.to_owned(), w.to_string()];
-            argv.extend(base.iter().cloned());
-            CellSpec {
-                seq,
-                key: spec.job_key(w).canonical(),
-                label: w.to_string(),
-                args: argv,
-            }
-        })
-        .collect();
-    let sub = Submission {
-        exe,
-        experiment: spec.experiment.clone(),
-        run_id: cli.resume.clone().or_else(|| cli.run_id.clone()),
-        resume: cli.resume.is_some(),
-        cells,
-    };
-    let out = cmpsim_service::submit(addr, &sub)?;
-    if !cli.quiet {
-        eprintln!("service: run {} on {addr}", out.run_id);
-    }
-    Ok(out.report)
 }
 
 /// `cmpsim submit`: `cmpsim grid` executed on a coordinator. Exactly

@@ -60,14 +60,15 @@
 
 use cmpsim_core::grid::{self, GridSpec};
 use cmpsim_core::runner::{
-    shutdown, IsolateMode, JobError, JournalConfig, RunReport, RunnerConfig, CHILD_ENTRY,
+    fresh_run_id, shutdown, IsolateMode, JobError, JournalConfig, RunReport, RunnerConfig,
+    CHILD_ENTRY,
 };
 use cmpsim_core::{CaptureBroker, CaptureCounters};
 use cmpsim_service::{CellSpec, Submission};
 use cmpsim_telemetry::trace::{self as ftrace, FlightRecorder};
 use cmpsim_telemetry::{JsonValue, RunManifest};
 use cmpsim_workloads::{Scale, WorkloadId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -314,23 +315,12 @@ impl Options {
     /// The journal configuration these options describe, or `None` when
     /// journalling is off (the default: a plain run writes nothing).
     pub fn journal_config(&self, experiment: &str) -> Option<JournalConfig> {
-        if self.resume.is_none() && self.journal_dir.is_none() && self.run_id.is_none() {
-            return None;
-        }
-        let dir = self
-            .journal_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/journal"));
-        Some(match &self.resume {
-            Some(id) => JournalConfig::new(dir, id.clone()).resuming(),
-            None => {
-                let id = self
-                    .run_id
-                    .clone()
-                    .unwrap_or_else(|| grid::fresh_run_id(experiment));
-                JournalConfig::new(dir, id)
-            }
-        })
+        journal_config(
+            self.journal_dir.as_deref(),
+            self.run_id.as_deref(),
+            self.resume.as_deref(),
+            experiment,
+        )
     }
 
     /// The capture broker these options describe: disk-backed under
@@ -348,30 +338,11 @@ impl Options {
     /// the child), and output paths. The child always runs uncached:
     /// the parent stores the result it reports.
     pub fn child_args(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut args = self.raw.iter();
-        if self.raw.first().map(String::as_str) == Some(CHILD_ENTRY) {
-            args.next();
-            args.next();
-        }
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--jobs" | "--cache-dir" | "--metrics-out" | "--journal-dir" | "--run-id"
-                | "--resume" | "--isolate" | "--job-timeout" | "--retries" | "--workloads"
-                | "--trace-out" | "--connect" | "--replay-shards" => {
-                    args.next();
-                }
-                "--json" | "--no-cache" | "--quiet" => {}
-                other => out.push(other.to_owned()),
-            }
-        }
-        out.push("--no-cache".to_owned());
-        // The child re-resolves nothing: it gets the parent's effective
-        // shard count (shards default to `--jobs`, which is stripped
-        // above — a child must never recurse into a worker pool).
-        out.push("--replay-shards".to_owned());
-        out.push(self.effective_replay_shards().to_string());
-        out
+        let own = match self.raw.first().map(String::as_str) {
+            Some(CHILD_ENTRY) => self.raw.get(2..).unwrap_or_default(),
+            _ => &self.raw,
+        };
+        child_argv(own, self.effective_replay_shards())
     }
 
     /// The exact command that resumes this run after an interruption or
@@ -379,19 +350,7 @@ impl Options {
     /// via `--resume`.
     pub fn resume_command(&self, run_id: &str) -> String {
         let bin = std::env::args().next().unwrap_or_else(|| "<bin>".into());
-        let mut out = vec![bin];
-        let mut args = self.raw.iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--resume" | "--run-id" => {
-                    args.next();
-                }
-                other => out.push(other.to_owned()),
-            }
-        }
-        out.push("--resume".to_owned());
-        out.push(run_id.to_owned());
-        out.join(" ")
+        resume_command(&bin, &self.raw, run_id)
     }
 
     /// Where the JSON twin goes: `--metrics-out` wins, otherwise
@@ -438,105 +397,183 @@ impl Options {
         let Some(path) = self.json_path(name) else {
             return;
         };
-        let mut manifest = self
-            .manifest(name)
-            .config_entry("runner_jobs", report.workers)
-            .config_entry("runner_ok", report.ok_count())
-            .config_entry("runner_cached", report.cached_count())
-            .config_entry("runner_failed", report.failed_count());
-        // Recovery counters appear only when the crash-safety machinery
-        // actually did something, so clean-run manifests are unchanged.
-        if report.replayed_count() > 0 {
-            manifest = manifest.config_entry("runner_replayed", report.replayed_count());
-        }
-        if report.recovered > 0 {
-            manifest = manifest.config_entry("runner_recovered", report.recovered);
-        }
-        if report.skipped_count() > 0 {
-            manifest = manifest.config_entry("runner_skipped", report.skipped_count());
-        }
-        if report.poisoned_count() > 0 {
-            manifest = manifest.config_entry("runner_poisoned", report.poisoned_count());
-        }
-        if report.backoff_ms() > 0.0 {
-            manifest = manifest.config_entry("runner_backoff_ms", report.backoff_ms() as u64);
-        }
-        if report.interrupted {
-            manifest = manifest.config_entry("runner_interrupted", 1u64);
-        }
-        if trace.captures > 0 {
-            manifest = manifest.config_entry("trace_captures", trace.captures);
-        }
-        if trace.memory_reuses > 0 {
-            manifest = manifest.config_entry("trace_reuses", trace.memory_reuses);
-        }
-        if trace.disk_loads > 0 {
-            manifest = manifest.config_entry("trace_disk_loads", trace.disk_loads);
-        }
-        let doc = JsonValue::object([
-            ("manifest", manifest.to_json()),
-            ("results", results),
-            ("runner", report.to_json()),
-        ]);
-        match cmpsim_telemetry::write_json_file(&path, &doc) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
+        if let Err(e) = write_twin(&path, self.manifest(name), report, trace, results) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
 
-    /// Where a journalled run's JSONL trace sidecar lives: next to the
-    /// journal, as `<run-id>.trace.jsonl`.
-    pub fn trace_jsonl_path(&self, run_id: &str) -> PathBuf {
-        self.journal_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/journal"))
-            .join(format!("{run_id}.trace.jsonl"))
-    }
-
-    /// Drains the flight recorder and exports the run's timeline: the
-    /// Chrome trace-event document to `--trace-out` (if given) and the
-    /// compact JSONL sidecar next to the journal (if the run was
-    /// journalled, so `cmpsim report <run-id>` can find it). A no-op
-    /// when tracing is off — untraced runs write nothing.
+    /// Drains the flight recorder into the run's timeline files (see
+    /// [`export_trace`]); a no-op when tracing is off.
     pub fn export_trace(&self, spec: &GridSpec, report: &RunReport) {
         let Some(rec) = &self.recorder else {
             return;
         };
-        let events = rec.drain_sorted();
-        let lanes = rec.lane_names();
-        let dropped = rec.dropped();
-        let mut meta: Vec<(String, JsonValue)> = vec![
-            (
-                "experiment".to_owned(),
-                JsonValue::from(spec.experiment.as_str()),
-            ),
-            ("seed".to_owned(), JsonValue::U64(self.seed)),
-            ("workers".to_owned(), JsonValue::U64(report.workers as u64)),
-        ];
-        if let Some(run_id) = &report.run_id {
-            meta.push(("run_id".to_owned(), JsonValue::from(run_id.as_str())));
-        }
-        if let Some(path) = &self.trace_out {
-            let doc = cmpsim_telemetry::chrome_trace(&events, &lanes, &meta, dropped);
-            match cmpsim_telemetry::write_json_file(path, &doc) {
-                Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(run_id) = &report.run_id {
-            let path = self.trace_jsonl_path(run_id);
-            if let Err(e) = ftrace::write_jsonl(&path, &meta, &lanes, &events, dropped) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
+        let (out, dir) = (self.trace_out.as_deref(), self.journal_dir.as_deref());
+        if let Err(e) = export_trace(rec, spec, report, out, dir) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
+}
+
+/// The argv a supervised child recomputes one cell from, after the
+/// `__run-job <WORKLOAD>` pair: `args` with every parent-only concern
+/// stripped — parallelism, caching, journalling, isolation (a child must
+/// never recurse), timeouts (the parent kills a child at the deadline),
+/// workload selection and output paths — then `--no-cache` (the parent
+/// stores what the child reports) and the parent's resolved
+/// `--replay-shards` (its default follows the stripped `--jobs`).
+pub fn child_argv(args: &[String], replay_shards: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--jobs" | "--cache-dir" | "--metrics-out" | "--journal-dir" | "--run-id"
+            | "--resume" | "--isolate" | "--job-timeout" | "--retries" | "--workloads"
+            | "--trace-out" | "--connect" | "--replay-shards" => {
+                args.next();
+            }
+            "--json" | "--no-cache" | "--quiet" => {}
+            other => out.push(other.to_owned()),
+        }
+    }
+    out.extend(["--no-cache".to_owned(), "--replay-shards".to_owned()]);
+    out.push(replay_shards.to_string());
+    out
+}
+
+/// `command` and then `args` with the journal identity pinned to
+/// `--resume <run_id>`: the command that resumes a journalled run.
+pub fn resume_command(command: &str, args: &[String], run_id: &str) -> String {
+    let mut out = vec![command.to_owned()];
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--resume" | "--run-id" => {
+                args.next();
+            }
+            other => out.push(other.to_owned()),
+        }
+    }
+    out.extend(["--resume".to_owned(), run_id.to_owned()]);
+    out.join(" ")
+}
+
+/// The journal configuration of a grid run, or `None` when journalling
+/// is off (the default: a plain run writes nothing). `--resume` wins;
+/// otherwise a fresh run is named `run_id` or a fresh id, in `dir`
+/// (default `results/journal`).
+pub fn journal_config(
+    dir: Option<&Path>,
+    run_id: Option<&str>,
+    resume: Option<&str>,
+    experiment: &str,
+) -> Option<JournalConfig> {
+    if resume.is_none() && dir.is_none() && run_id.is_none() {
+        return None;
+    }
+    let dir = dir.unwrap_or(Path::new("results/journal")).to_path_buf();
+    Some(match resume {
+        Some(id) => JournalConfig::new(dir, id).resuming(),
+        None => JournalConfig::new(
+            dir,
+            run_id.map_or_else(|| fresh_run_id(experiment), str::to_owned),
+        ),
+    })
+}
+
+/// Writes the `{manifest, results, runner}` JSON twin to `path`: the
+/// manifest gains the runner counters, then the capture pipeline's
+/// (recovery and capture counters only when nonzero, so a clean run's
+/// manifest never changes). The path note goes to stderr.
+///
+/// # Errors
+///
+/// The write failure, naming the path.
+pub fn write_twin(
+    path: &Path,
+    manifest: RunManifest,
+    report: &RunReport,
+    trace: CaptureCounters,
+    results: JsonValue,
+) -> Result<(), String> {
+    let mut manifest = manifest
+        .config_entry("runner_jobs", report.workers)
+        .config_entry("runner_ok", report.ok_count())
+        .config_entry("runner_cached", report.cached_count())
+        .config_entry("runner_failed", report.failed_count());
+    let backoff_ms = report.backoff_ms() as u64;
+    for (key, n) in [
+        ("runner_replayed", report.replayed_count() as u64),
+        ("runner_recovered", report.recovered as u64),
+        ("runner_skipped", report.skipped_count() as u64),
+        ("runner_poisoned", report.poisoned_count() as u64),
+        ("runner_backoff_ms", backoff_ms),
+        ("runner_interrupted", u64::from(report.interrupted)),
+        ("trace_captures", trace.captures),
+        ("trace_reuses", trace.memory_reuses),
+        ("trace_disk_loads", trace.disk_loads),
+    ] {
+        if n > 0 {
+            manifest = manifest.config_entry(key, n);
+        }
+    }
+    let doc = JsonValue::object([
+        ("manifest", manifest.to_json()),
+        ("results", results),
+        ("runner", report.to_json()),
+    ]);
+    cmpsim_telemetry::write_json_file(path, &doc)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+/// Drains `rec` and exports the grid run's timeline: the Chrome
+/// trace-event document to `trace_out` (if given) and, for a journalled
+/// run, the compact JSONL sidecar next to its journal under
+/// `journal_dir` (default `results/journal`), where `cmpsim report
+/// <run-id>` finds it.
+///
+/// # Errors
+///
+/// A write failure, naming the path.
+pub fn export_trace(
+    rec: &FlightRecorder,
+    spec: &GridSpec,
+    report: &RunReport,
+    trace_out: Option<&Path>,
+    journal_dir: Option<&Path>,
+) -> Result<(), String> {
+    let events = rec.drain_sorted();
+    let lanes = rec.lane_names();
+    let dropped = rec.dropped();
+    let mut meta: Vec<(String, JsonValue)> = vec![
+        (
+            "experiment".to_owned(),
+            JsonValue::from(spec.experiment.as_str()),
+        ),
+        ("seed".to_owned(), JsonValue::U64(spec.seed)),
+        ("workers".to_owned(), JsonValue::U64(report.workers as u64)),
+    ];
+    if let Some(run_id) = &report.run_id {
+        meta.push(("run_id".to_owned(), JsonValue::from(run_id.as_str())));
+    }
+    let cannot = |path: &Path, e| format!("cannot write {}: {e}", path.display());
+    if let Some(path) = trace_out {
+        let doc = cmpsim_telemetry::chrome_trace(&events, &lanes, &meta, dropped);
+        cmpsim_telemetry::write_json_file(path, &doc).map_err(|e| cannot(path, e))?;
+        eprintln!("wrote {}", path.display());
+    }
+    if let Some(run_id) = &report.run_id {
+        let path = journal_dir
+            .unwrap_or(Path::new("results/journal"))
+            .join(format!("{run_id}.trace.jsonl"));
+        ftrace::write_jsonl(&path, &meta, &lanes, &events, dropped)
+            .map_err(|e| cannot(&path, e))?;
+    }
+    Ok(())
 }
 
 /// Runs `spec`'s grid with crash-safety wired up from `opts`: the
@@ -550,19 +587,7 @@ pub fn run_grid<F>(opts: &Options, spec: &GridSpec, f: F) -> RunReport
 where
     F: Fn(WorkloadId) -> JsonValue + Send + Sync + Clone + 'static,
 {
-    if let Some(w) = opts.run_job {
-        run_child_cell(w, &|w| Ok(f(w)));
-    }
-    if let Some(addr) = &opts.connect {
-        return submit_grid(opts, addr, spec);
-    }
-    let base = child_base(opts);
-    grid::run_grid_supervised(
-        spec,
-        &opts.runner_grid(&spec.experiment),
-        base.as_deref(),
-        f,
-    )
+    try_run_grid(opts, spec, move |w| Ok(f(w)))
 }
 
 /// [`run_grid`] for fallible cells: the crash-safe equivalent of
@@ -596,48 +621,62 @@ where
 /// interchangeably address the same results, and the caller renders
 /// byte-identical output from the returned report.
 pub fn submit_grid(opts: &Options, addr: &str, spec: &GridSpec) -> RunReport {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: cannot resolve the current executable: {e}");
-            std::process::exit(1);
-        }
-    };
-    let base = opts.child_args();
-    let cells = spec
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(seq, &w)| {
-            let mut args = vec![CHILD_ENTRY.to_owned(), w.to_string()];
-            args.extend(base.iter().cloned());
-            CellSpec {
-                seq,
-                key: spec.job_key(w).canonical(),
-                label: w.to_string(),
-                args,
-            }
-        })
-        .collect();
-    let sub = Submission {
-        exe,
-        experiment: spec.experiment.clone(),
-        run_id: opts.resume.clone().or_else(|| opts.run_id.clone()),
-        resume: opts.resume.is_some(),
-        cells,
-    };
-    match cmpsim_service::submit(addr, &sub) {
-        Ok(out) => {
-            if !opts.quiet {
-                eprintln!("service: run {} on {addr}", out.run_id);
-            }
-            out.report
-        }
+    let run_id = opts.resume.clone().or_else(|| opts.run_id.clone());
+    let resume = opts.resume.is_some();
+    match submit_cells(addr, spec, &opts.child_args(), run_id, resume, opts.quiet) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
     }
+}
+
+/// Submits `spec`'s cells to the coordinator at `addr`, each carrying
+/// the argv `__run-job <WORKLOAD> <base...>` of the current executable,
+/// and blocks until the streamed report is complete. `run_id` names the
+/// server-side journal (`resume` replays it).
+///
+/// # Errors
+///
+/// A human-readable message when the executable cannot be resolved or
+/// the submission fails.
+pub fn submit_cells(
+    addr: &str,
+    spec: &GridSpec,
+    base: &[String],
+    run_id: Option<String>,
+    resume: bool,
+    quiet: bool,
+) -> Result<RunReport, String> {
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot resolve the current executable: {e}"))?;
+    let cells = spec
+        .workloads
+        .iter()
+        .enumerate()
+        .map(|(seq, &w)| CellSpec {
+            seq,
+            key: spec.job_key(w).canonical(),
+            label: w.to_string(),
+            args: [CHILD_ENTRY.to_owned(), w.to_string()]
+                .into_iter()
+                .chain(base.iter().cloned())
+                .collect(),
+        })
+        .collect();
+    let sub = Submission {
+        exe,
+        experiment: spec.experiment.clone(),
+        run_id,
+        resume,
+        cells,
+    };
+    let out = cmpsim_service::submit(addr, &sub)?;
+    if !quiet {
+        eprintln!("service: run {} on {addr}", out.run_id);
+    }
+    Ok(out.report)
 }
 
 fn child_base(opts: &Options) -> Option<Vec<String>> {

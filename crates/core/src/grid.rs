@@ -97,16 +97,7 @@ pub fn run_grid_supervised<F>(
 where
     F: Fn(WorkloadId) -> JsonValue + Send + Sync + Clone + 'static,
 {
-    let jobs = spec
-        .workloads
-        .iter()
-        .map(|&w| {
-            let f = f.clone();
-            let job = ExperimentJob::new(w.to_string(), spec.job_key(w), move || f(w));
-            attach_child_args(job, w, child_base)
-        })
-        .collect();
-    Runner::new(cfg.clone()).run(jobs)
+    try_run_grid_supervised(spec, cfg, child_base, move |w| Ok(f(w)))
 }
 
 /// Like [`run_grid`], but each cell may fail with a structured
@@ -138,37 +129,18 @@ where
         .map(|&w| {
             let f = f.clone();
             let job = ExperimentJob::try_new(w.to_string(), spec.job_key(w), move || f(w));
-            attach_child_args(job, w, child_base)
+            match child_base {
+                None => job,
+                Some(base) => job.with_child_args(
+                    [CHILD_ENTRY.to_owned(), w.to_string()]
+                        .into_iter()
+                        .chain(base.iter().cloned())
+                        .collect(),
+                ),
+            }
         })
         .collect();
     Runner::new(cfg.clone()).run(jobs)
-}
-
-fn attach_child_args(
-    job: ExperimentJob,
-    w: WorkloadId,
-    child_base: Option<&[String]>,
-) -> ExperimentJob {
-    match child_base {
-        None => job,
-        Some(base) => {
-            let mut args = vec![CHILD_ENTRY.to_owned(), w.to_string()];
-            args.extend(base.iter().cloned());
-            job.with_child_args(args)
-        }
-    }
-}
-
-/// A fresh journal run id for `experiment`: the experiment name plus
-/// wall-clock seconds, the process id, and a process-wide counter —
-/// unique even for simultaneous submissions (concurrent service
-/// clients, parallel tests), stable for the lifetime of one run, and
-/// legible in a journal directory listing
-/// (`fig4_scmp-1722950000-4242-0`). Delegates to
-/// [`cmpsim_runner::fresh_run_id`], which the grid service coordinator
-/// also uses, so batch and service runs mint ids from one sequence.
-pub fn fresh_run_id(experiment: &str) -> String {
-    cmpsim_runner::fresh_run_id(experiment)
 }
 
 /// Renders a list as a compact comma-joined string — the conventional

@@ -282,7 +282,8 @@ impl RunJournal {
         ]));
     }
 
-    /// Records cell `seq`'s terminal outcome (payload included).
+    /// Records cell `seq`'s terminal outcome:
+    /// [`job_done_tracked`](Self::job_done_tracked) without the rseq.
     pub fn job_done(
         &self,
         seq: usize,
@@ -291,23 +292,16 @@ impl RunJournal {
         outcome: &JobOutcome,
         attempts: u32,
     ) {
-        self.append(JsonValue::object([
-            ("kind", JsonValue::from("job_done")),
-            ("seq", JsonValue::from(seq)),
-            ("key", JsonValue::from(key)),
-            ("label", JsonValue::from(label)),
-            ("attempts", JsonValue::from(u64::from(attempts))),
-            ("outcome", outcome.to_json()),
-        ]));
+        self.job_done_tracked(seq, key, label, outcome, attempts);
     }
 
-    /// Like [`job_done`](Self::job_done), but stamps the record with
-    /// the next record-stream sequence (`rseq`) and returns it.
+    /// Records cell `seq`'s terminal outcome (payload included), stamped
+    /// with the next record-stream sequence (`rseq`), and returns it.
     ///
     /// `rseq` totally orders a run's `job_done` records, which is what
     /// lets a disconnected client reattach with "give me everything
     /// after N". Callers that stream records to a client must serialize
-    /// this call with the send (the coordinator holds a per-run emit
+    /// this call with the send (the scheduler holds a per-run emit
     /// lock), so the rseq order, the journal order, and the wire order
     /// all agree.
     pub fn job_done_tracked(

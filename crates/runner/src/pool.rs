@@ -1,10 +1,7 @@
-//! The work-stealing worker pool and its job/outcome types.
-//!
-//! Jobs are distributed round-robin across per-worker deques up front;
-//! each worker pops from the front of its own deque and, when empty,
-//! steals from the back of its peers'. Because the job set is fixed at
-//! submission (no job spawns further jobs), "every deque empty" is the
-//! termination condition — no condition variables needed.
+//! Local batches: the job/outcome types and [`Runner`], which runs a
+//! batch as one run on a private [`Scheduler`] that `workers` in-process
+//! threads drain (see [`crate::sched`] for the queue, claim, retry and
+//! completion steps it shares with the grid service).
 //!
 //! Determinism: results are written into a slot per submission index,
 //! so the report order equals submission order no matter which worker
@@ -12,32 +9,29 @@
 //! seeded computation, so a parallel run is byte-identical to a serial
 //! one.
 //!
-//! Crash-safety: with a [`JournalConfig`] the pool write-ahead-journals
+//! Crash-safety: with a [`JournalConfig`] the batch write-ahead-journals
 //! every job start and terminal outcome (fsync'd, checksummed — see
 //! [`crate::journal`]); a resumed batch replays completed cells from the
 //! journal and re-enqueues in-flight ones. With
 //! [`IsolateMode::Process`] each attempt runs in a supervised child
 //! process (see [`crate::supervisor`]), so aborts and OOM kills are
 //! contained, retried on the [`BackoffPolicy`] schedule, and quarantined
-//! as [`JobOutcome::Poisoned`]. A [`ShutdownFlag`] drains the pool:
+//! as [`JobOutcome::Poisoned`]. A [`ShutdownFlag`] drains the batch:
 //! in-flight cells finish, queued ones are [`JobOutcome::Skipped`].
 
-use crate::backoff::{BackoffPolicy, FailureClass};
+use crate::backoff::BackoffPolicy;
 use crate::cache::ResultCache;
 use crate::hash::JobKey;
 use crate::journal::{JournalConfig, JournalReplay, RunJournal};
+use crate::sched::{self, ExecSpan, Host, RunState, RunTrace, Scheduler};
 use crate::shutdown::ShutdownFlag;
-use crate::supervisor::{self, ChildAttempt};
-use cmpsim_telemetry::trace::{
-    self as ftrace, EventKind, FlightRecorder, Lane, OpenSpan, TraceEvent,
-};
-use cmpsim_telemetry::{JsonValue, Labels, MetricRegistry, SpanProfiler};
-use std::collections::VecDeque;
+use crate::supervisor::ChildAttempt;
+use cmpsim_telemetry::trace::{self as ftrace, FlightRecorder, OpenSpan};
+use cmpsim_telemetry::{JsonValue, Labels, MetricRegistry};
 use std::fmt;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -486,15 +480,6 @@ impl RunReport {
         }
     }
 
-    /// Replays each job as a finished span (`job:<label>`) on a span
-    /// profiler, under one `runner` parent span.
-    pub fn export_spans(&self, spans: &mut SpanProfiler) {
-        for j in &self.jobs {
-            spans.record(&format!("job:{}", j.label), (j.wall_ms * 1e6) as u128, 1);
-        }
-        spans.record("runner", (self.wall_ms * 1e6) as u128, 0);
-    }
-
     /// The report as a JSON object (embedded in result documents).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
@@ -548,16 +533,10 @@ impl RunReport {
     }
 }
 
-/// Live progress counters shared by the workers.
+/// The live progress line.
 struct Progress {
     total: usize,
-    done: AtomicUsize,
-    ok: AtomicUsize,
-    cached: AtomicUsize,
-    failed: AtomicUsize,
     started: Instant,
-    /// Serializes the `\r` line so two workers never interleave writes.
-    line: Mutex<()>,
     enabled: bool,
     /// Whether stderr is an interactive terminal. On a TTY the line is
     /// `\r`-rewritten in place; on a pipe (service clients, CI logs,
@@ -572,32 +551,21 @@ impl Progress {
         use std::io::IsTerminal;
         Progress {
             total,
-            done: AtomicUsize::new(0),
-            ok: AtomicUsize::new(0),
-            cached: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
             started: Instant::now(),
-            line: Mutex::new(()),
             enabled,
             tty: std::io::stderr().is_terminal(),
         }
     }
 
-    fn update(&self, outcome: &JobOutcome) {
-        match outcome {
-            JobOutcome::Ok(_) => &self.ok,
-            JobOutcome::Cached(_) => &self.cached,
-            JobOutcome::Failed { .. }
-            | JobOutcome::Errored { .. }
-            | JobOutcome::TimedOut { .. }
-            | JobOutcome::Poisoned { .. }
-            | JobOutcome::Skipped => &self.failed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Redraws the line from the run's tally. Callers hold the run's
+    /// emit lock (or run before the workers start), so two updates
+    /// never interleave.
+    fn update(&self, state: &RunState) {
         if !self.enabled {
             return;
         }
+        let (ok, cached, failed) = state.counts();
+        let done = ok + cached + failed;
         let elapsed = self.started.elapsed().as_secs_f64();
         let eta = if done > 0 && done < self.total {
             elapsed / done as f64 * (self.total - done) as f64
@@ -605,11 +573,8 @@ impl Progress {
             0.0
         };
         let body = format!(
-            "[{done}/{}] {} ok, {} cached, {} failed, eta {eta:.1}s",
-            self.total,
-            self.ok.load(Ordering::Relaxed),
-            self.cached.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
+            "[{done}/{}] {ok} ok, {cached} cached, {failed} failed, eta {eta:.1}s",
+            self.total
         );
         let line = if self.tty {
             let newline = if done == self.total { "\n" } else { "" };
@@ -617,14 +582,13 @@ impl Progress {
         } else {
             format!("{body}\n")
         };
-        let _guard = self.line.lock().unwrap_or_else(|e| e.into_inner());
         let mut err = std::io::stderr().lock();
         let _ = err.write_all(line.as_bytes());
         let _ = err.flush();
     }
 }
 
-/// The worker pool itself.
+/// Runs batches of jobs on a private [`Scheduler`] per batch.
 #[derive(Debug, Clone)]
 pub struct Runner {
     cfg: RunnerConfig,
@@ -647,10 +611,12 @@ impl Runner {
     ///
     /// A job found in the cache is not executed ([`JobOutcome::Cached`]);
     /// with a resuming journal, a job with a recorded terminal outcome
-    /// is replayed from it. A crashing job is retried on the backoff
-    /// schedule and then reported as [`JobOutcome::Failed`] (inline) or
-    /// [`JobOutcome::Poisoned`] (process isolation) without aborting the
-    /// batch.
+    /// is replayed from it. A job whose key another job of the batch is
+    /// already executing waits for that execution and reports its
+    /// payload as [`JobOutcome::Cached`]. A crashing job is retried on
+    /// the backoff schedule and then reported as [`JobOutcome::Failed`]
+    /// (inline) or [`JobOutcome::Poisoned`] (process isolation) without
+    /// aborting the batch.
     pub fn run(&self, jobs: Vec<ExperimentJob>) -> RunReport {
         let started = Instant::now();
         let total = jobs.len();
@@ -659,7 +625,6 @@ impl Runner {
             n => n,
         }
         .min(total.max(1));
-        let cache = self.cfg.cache_dir.as_ref().map(ResultCache::new);
 
         // Open (and on resume, replay) the write-ahead journal. A failed
         // open degrades to an un-journalled run — loudly, because it
@@ -679,156 +644,89 @@ impl Runner {
             }
         }
         let run_id = self.cfg.journal.as_ref().map(|jc| jc.run_id.clone());
-
-        // Jobs are shared via `Arc` so a watchdog attempt can outlive the
-        // batch: an abandoned attempt thread holds its own reference.
-        let jobs: Vec<Arc<ExperimentJob>> = jobs.into_iter().map(Arc::new).collect();
         let keys: Vec<String> = jobs.iter().map(|j| j.key.canonical()).collect();
-        let recovered = keys
-            .iter()
-            .filter(|k| replay.in_flight.contains(k.as_str()))
-            .count();
+        let part = sched::partition(keys.iter().map(String::as_str), &replay);
         if let Some(j) = &journal {
-            j.run_start(
-                run_id.as_deref().unwrap_or(""),
-                total,
-                replay.completed.len(),
-            );
+            j.run_start(run_id.as_deref().unwrap_or(""), total, part.replayed.len());
         }
 
-        // Round-robin pre-distribution over per-worker deques.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..total {
-            queues[i % workers]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(i);
-        }
-        let slots: Vec<Mutex<Option<JobReport>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        let progress = Progress::new(total, self.cfg.progress);
-
-        // Flight-recorder lanes: one for the pool, one per worker.
-        // `None` everywhere when tracing is off — the worker loop then
-        // takes exactly the pre-tracing code path.
-        let tracer = self.cfg.tracer.clone();
-        let pool_lane = tracer.as_ref().map(|rec| rec.lane("pool"));
-        let worker_lanes: Option<Vec<Lane>> = tracer.as_ref().map(|rec| {
-            (0..workers)
-                .map(|w| rec.lane(&format!("worker-{w}")))
-                .collect()
-        });
-        let batch_start_ns = tracer.as_ref().map_or(0, |rec| rec.now_ns());
+        // Flight-recorder lanes: one for the run span, one per worker.
+        // `None` everywhere when tracing is off, and every
+        // instrumentation site is a no-op.
+        let pool_lane = self.cfg.tracer.as_ref().map(|rec| rec.lane("pool"));
         let run_span = pool_lane.as_ref().map(|lane| {
             let mut s = lane.begin("run", "", 0);
             s.arg("jobs", total as u64);
             s.arg("workers", workers as u64);
-            s.arg("replayed", replay.completed.len() as u64);
+            s.arg("replayed", part.replayed.len() as u64);
             s
         });
         let run_root = run_span.as_ref().map_or(0, OpenSpan::span_id);
+        let trace = self
+            .cfg
+            .tracer
+            .as_ref()
+            .map(|rec| RunTrace::new(rec, workers, run_root));
+        let labels = jobs.iter().map(|j| j.label.clone()).collect();
+        let batch = Arc::new(Batch {
+            // Jobs are shared via `Arc` so a watchdog attempt can outlive
+            // the batch: an abandoned attempt thread holds its own
+            // reference.
+            jobs: jobs.into_iter().map(Arc::new).collect(),
+            slots: (0..total).map(|_| Mutex::new(None)).collect(),
+            progress: Progress::new(total, self.cfg.progress),
+            state: RunState::new(keys, labels, journal, part.pending.len(), trace),
+        });
 
+        // Completed in the journalled run: serve the recorded outcome
+        // without executing.
+        for (seq, done) in part.replayed {
+            let label = &batch.jobs[seq].label;
+            if let Some(lane) = &pool_lane {
+                lane.instant("journal-replayed", label, run_root, Vec::new());
+            }
+            batch.state.tally(&done.outcome);
+            batch.progress.update(&batch.state);
+            *lock(&batch.slots[seq]) = Some(JobReport {
+                label: label.clone(),
+                outcome: done.outcome,
+                wall_ms: 0.0,
+                attempts: done.attempts,
+                replayed: true,
+                backoff_ms: 0.0,
+            });
+        }
+
+        let local = Local {
+            core: Scheduler::new(
+                self.cfg.cache_dir.as_ref().map(ResultCache::new),
+                self.cfg.retries,
+                self.cfg.backoff.clone(),
+                self.cfg.job_timeout,
+                self.cfg.shutdown.clone(),
+            ),
+            isolate: self.cfg.isolate,
+        };
+        local.core.enqueue(&batch, part.pending);
+        local.core.drain();
         std::thread::scope(|scope| {
-            for me in 0..workers {
-                let jobs = &jobs;
-                let keys = &keys;
-                let queues = &queues;
-                let slots = &slots;
-                let progress = &progress;
-                let journal = journal.as_ref();
-                let replay = &replay;
-                let shutdown = self.cfg.shutdown.as_ref();
-                let lanes = worker_lanes.as_ref();
-                let ctx = ExecCtx {
-                    cache: cache.as_ref(),
-                    retries: self.cfg.retries,
-                    timeout: self.cfg.job_timeout,
-                    backoff: &self.cfg.backoff,
-                    isolate: self.cfg.isolate,
-                };
-                scope.spawn(move || {
-                    let lane = lanes.map(|ls| ls[me].clone());
-                    let mut busy_ns = 0u64;
-                    while let Some(i) = next_job(queues, me) {
-                        let job = &jobs[i];
-                        let key = keys[i].as_str();
-                        let tr = lane.as_ref().map(|lane| {
-                            let depth: usize = queues
-                                .iter()
-                                .map(|q| q.lock().unwrap_or_else(|e| e.into_inner()).len())
-                                .sum();
-                            lane.counter("queue_depth", "", depth as f64);
-                            CellTrace::begin(lane.clone(), &job.label, run_root, batch_start_ns)
-                        });
-                        let pickup_ns = lane.as_ref().map_or(0, |l| l.recorder().now_ns());
-                        let report = if shutdown.is_some_and(ShutdownFlag::requested) {
-                            // Draining: finish nothing new, journal
-                            // nothing (the cell re-runs on resume).
-                            if let Some(t) = &tr {
-                                t.instant("skipped", Vec::new());
-                            }
-                            JobReport {
-                                label: job.label.clone(),
-                                outcome: JobOutcome::Skipped,
-                                wall_ms: 0.0,
-                                attempts: 0,
-                                replayed: false,
-                                backoff_ms: 0.0,
-                            }
-                        } else if let Some(done) = replay.completed.get(key) {
-                            // Completed in the journalled run: serve the
-                            // recorded outcome without executing.
-                            if let Some(t) = &tr {
-                                t.instant("journal-replayed", Vec::new());
-                            }
-                            JobReport {
-                                label: job.label.clone(),
-                                outcome: done.outcome.clone(),
-                                wall_ms: 0.0,
-                                attempts: done.attempts,
-                                replayed: true,
-                                backoff_ms: 0.0,
-                            }
-                        } else {
-                            // Write-ahead: the start record marks this
-                            // cell in-flight until its outcome lands.
-                            if let Some(j) = journal {
-                                let _s = tr.as_ref().map(|t| t.span("journal-append"));
-                                j.job_start(i, key, &job.label);
-                            }
-                            let report = execute(job, &ctx, tr.as_ref());
-                            if let Some(j) = journal {
-                                let _s = tr.as_ref().map(|t| t.span("journal-append"));
-                                j.job_done(i, key, &job.label, &report.outcome, report.attempts);
-                            }
-                            report
-                        };
-                        if let Some(t) = tr {
-                            busy_ns += t.lane.recorder().now_ns().saturating_sub(pickup_ns);
-                            t.finish(&report.outcome, report.attempts);
-                        }
-                        progress.update(&report.outcome);
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(report);
-                    }
-                    // Utilization gauge: fraction of the batch this
-                    // worker spent on cells (cache lookups included).
-                    if let Some(lane) = &lane {
-                        let total_ns = lane.recorder().now_ns().saturating_sub(batch_start_ns);
-                        if total_ns > 0 {
-                            lane.counter("utilization", "", busy_ns as f64 / total_ns as f64);
-                        }
-                    }
-                });
+            for worker in 0..workers {
+                let local = &local;
+                scope.spawn(move || sched::work(local, worker));
             }
         });
+        if let Some(trace) = batch.state.trace.as_ref() {
+            trace.close();
+        }
         drop(run_span);
 
         let report = RunReport {
-            jobs: slots
-                .into_iter()
+            jobs: batch
+                .slots
+                .iter()
                 .map(|s| {
-                    s.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
+                    lock(s)
+                        .take()
                         .expect("every submitted job produced a report")
                 })
                 .collect(),
@@ -840,9 +738,9 @@ impl Runner {
                 .as_ref()
                 .is_some_and(ShutdownFlag::requested),
             run_id,
-            recovered,
+            recovered: part.recovered,
         };
-        if let Some(j) = &journal {
+        if let Some(j) = batch.state.journal.as_ref() {
             if report.interrupted {
                 j.interrupted(
                     report.jobs.len() - report.skipped_count(),
@@ -860,165 +758,64 @@ impl Runner {
     }
 }
 
-/// Pops from the front of `me`'s deque, or steals from the back of a
-/// peer's. `None` only when every deque is empty, which is final
-/// because no job enqueues further jobs.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(i) = queues[me]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_front()
-    {
-        return Some(i);
-    }
-    for off in 1..queues.len() {
-        let victim = (me + off) % queues.len();
-        if let Some(i) = queues[victim]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_back()
-        {
-            return Some(i);
-        }
-    }
-    None
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Everything one attempt needs besides the job itself.
-struct ExecCtx<'a> {
-    cache: Option<&'a ResultCache>,
-    retries: u32,
-    timeout: Option<Duration>,
-    backoff: &'a BackoffPolicy,
+/// One local batch: the only run on its scheduler.
+struct Batch {
+    jobs: Vec<Arc<ExperimentJob>>,
+    state: RunState,
+    /// One report per submission index, so the report order is the
+    /// submission order whichever worker finished which job when.
+    slots: Vec<Mutex<Option<JobReport>>>,
+    progress: Progress,
+}
+
+/// In-process workers draining one batch.
+struct Local {
+    core: Scheduler<Batch>,
     isolate: IsolateMode,
 }
 
-/// Per-cell tracing scope: the umbrella `cell:<label>` span plus the
-/// synthetic queue-wait span (submission → pickup).
-struct CellTrace {
-    lane: Lane,
-    label: String,
-    cell_id: u64,
-    cell: Option<OpenSpan>,
-}
+impl Host for Local {
+    type Run = Batch;
 
-impl CellTrace {
-    fn begin(lane: Lane, label: &str, run_root: u64, batch_start_ns: u64) -> CellTrace {
-        let pickup_ns = lane.recorder().now_ns();
-        let cell = lane.begin(
-            &format!("{}{label}", ftrace::CELL_SPAN_PREFIX),
-            label,
-            run_root,
-        );
-        let cell_id = cell.span_id();
-        // Queue wait: every job is submitted at batch start; the gap to
-        // pickup is time spent behind other cells.
-        lane.push(TraceEvent {
-            name: "queue-wait".to_owned(),
-            cell: label.to_owned(),
-            lane: 0,
-            id: lane.recorder().next_span_id(),
-            parent: cell_id,
-            ts_ns: batch_start_ns,
-            kind: EventKind::Span {
-                dur_ns: pickup_ns.saturating_sub(batch_start_ns),
+    fn core(&self) -> &Scheduler<Batch> {
+        &self.core
+    }
+
+    fn state(run: &Batch) -> &RunState {
+        &run.state
+    }
+
+    fn supervised(&self, run: &Batch, seq: usize) -> bool {
+        self.isolate == IsolateMode::Process && run.jobs[seq].child_args.is_some()
+    }
+
+    /// A supervised attempt re-execs the current binary with the job's
+    /// child argv; any other attempt calls the closure on this thread
+    /// (under the watchdog deadline, if one is set).
+    fn attempt(&self, run: &Batch, seq: usize, exec: Option<&ExecSpan>) -> ChildAttempt {
+        let job = &run.jobs[seq];
+        let timeout = self.core.timeout();
+        match &job.child_args {
+            Some(args) if self.isolate == IsolateMode::Process => match std::env::current_exe() {
+                Ok(exe) => sched::supervise(exec, &exe, args, timeout, false),
+                Err(e) => ChildAttempt::Crashed(format!("cannot locate current executable: {e}")),
             },
-            args: Vec::new(),
-        });
-        CellTrace {
-            lane,
-            label: label.to_owned(),
-            cell_id,
-            cell: Some(cell),
+            _ => inline_attempt(job, timeout, exec),
         }
     }
 
-    fn span(&self, name: &str) -> OpenSpan {
-        self.lane.begin(name, &self.label, self.cell_id)
-    }
-
-    fn instant(&self, name: &str, args: Vec<(String, JsonValue)>) {
-        self.lane.instant(name, &self.label, self.cell_id, args);
-    }
-
-    fn finish(mut self, outcome: &JobOutcome, attempts: u32) {
-        if let Some(mut cell) = self.cell.take() {
-            cell.arg("outcome", outcome.kind());
-            cell.arg("attempts", u64::from(attempts));
-            cell.end();
-        }
+    fn deliver(&self, run: &Batch, seq: usize, report: JobReport, _rseq: u64) {
+        run.progress.update(&run.state);
+        *lock(&run.slots[seq]) = Some(report);
     }
 }
 
-fn failure_class_name(class: FailureClass) -> &'static str {
-    match class {
-        FailureClass::Structured => "structured",
-        FailureClass::Crash => "crash",
-        FailureClass::Hang => "hang",
-    }
-}
-
-/// One attempt's result, execution mode erased: inline panics and child
-/// process deaths both surface as [`Attempt::Crashed`].
-enum Attempt {
-    Ok(JsonValue),
-    Err(JobError),
-    Crashed(String),
-    Hung,
-}
-
-/// Runs one attempt — in a supervised child process if the mode and job
-/// allow it, otherwise inline (optionally under the watchdog deadline).
-/// With tracing on, the attempt runs under an `execute` span; a traced
-/// child's reported spans are grafted under it.
-fn attempt(job: &Arc<ExperimentJob>, ctx: &ExecCtx, tr: Option<&CellTrace>, n: u32) -> Attempt {
-    let mut span = tr.map(|t| {
-        let mut s = t.span("execute");
-        s.arg("attempt", u64::from(n));
-        s
-    });
-    if ctx.isolate == IsolateMode::Process {
-        if let Some(args) = &job.child_args {
-            if let Some(s) = span.as_mut() {
-                s.arg("mode", "process");
-            }
-            // The child's clock starts at spawn; re-base its events to
-            // our clock's "now" so they land inside the execute span.
-            let base_ns = tr.map_or(0, |t| t.lane.recorder().now_ns());
-            let sup = supervisor::attempt(args, ctx.timeout, tr.is_some());
-            if let Some(t) = tr {
-                t.lane.recorder().add_dropped(sup.trace_dropped);
-                ftrace::graft(
-                    &t.lane,
-                    sup.trace,
-                    &t.label,
-                    span.as_ref().map_or(0, OpenSpan::span_id),
-                    base_ns,
-                    &[("proc", JsonValue::from("child"))],
-                );
-            }
-            return match sup.attempt {
-                ChildAttempt::Ok(v) => Attempt::Ok(v),
-                ChildAttempt::Err(e) => Attempt::Err(e),
-                ChildAttempt::Crashed(m) => Attempt::Crashed(m),
-                ChildAttempt::Hung => Attempt::Hung,
-            };
-        }
-    }
-    if let Some(s) = span.as_mut() {
-        s.arg("mode", "inline");
-    }
-    let install = tr.map(|t| {
-        (
-            t.lane.clone(),
-            t.label.clone(),
-            span.as_ref().map_or(0, OpenSpan::span_id),
-        )
-    });
-    inline_attempt(job, ctx.timeout, install)
-}
-
-/// Runs one inline attempt, optionally under a watchdog deadline.
+/// Runs one inline attempt, optionally under a watchdog deadline; with
+/// `exec`, the closure's own spans record under the execute span.
 ///
 /// With a deadline, the attempt runs on a *detached* thread and the
 /// worker waits on a channel: if the deadline passes, the thread is
@@ -1027,13 +824,14 @@ fn attempt(job: &Arc<ExperimentJob>, ctx: &ExecCtx, tr: Option<&CellTrace>, n: u
 fn inline_attempt(
     job: &Arc<ExperimentJob>,
     timeout: Option<Duration>,
-    install: Option<(Lane, String, u64)>,
-) -> Attempt {
+    exec: Option<&ExecSpan>,
+) -> ChildAttempt {
     let fold = |caught: std::thread::Result<Result<JsonValue, JobError>>| match caught {
-        Ok(Ok(v)) => Attempt::Ok(v),
-        Ok(Err(e)) => Attempt::Err(e),
-        Err(payload) => Attempt::Crashed(panic_message(payload.as_ref())),
+        Ok(Ok(v)) => ChildAttempt::Ok(v),
+        Ok(Err(e)) => ChildAttempt::Err(e),
+        Err(payload) => ChildAttempt::Crashed(panic_message(payload.as_ref())),
     };
+    let install = exec.map(|e| (e.lane.clone(), e.cell.to_owned(), e.id));
     let Some(deadline) = timeout else {
         let _ctx = install.map(|(lane, cell, root)| ftrace::install(lane, &cell, root));
         return fold(catch_unwind(AssertUnwindSafe(|| (job.run)())));
@@ -1047,142 +845,14 @@ fn inline_attempt(
             let _ = tx.send(catch_unwind(AssertUnwindSafe(|| (worker.run)())));
         });
     match spawned {
-        Err(e) => Attempt::Err(JobError::new(
+        Err(e) => ChildAttempt::Err(JobError::new(
             "io",
             format!("cannot spawn watchdog thread: {e}"),
         )),
         Ok(_handle) => match rx.recv_timeout(deadline) {
             Ok(result) => fold(result),
-            Err(_) => Attempt::Hung,
+            Err(_) => ChildAttempt::Hung,
         },
-    }
-}
-
-fn execute(job: &Arc<ExperimentJob>, ctx: &ExecCtx, tr: Option<&CellTrace>) -> JobReport {
-    let started = Instant::now();
-    if let Some(c) = ctx.cache {
-        let lookup = tr.map(|t| t.span("cache-lookup"));
-        let hit = c.lookup(&job.key);
-        drop(lookup);
-        if let Some(v) = hit {
-            if let Some(t) = tr {
-                t.instant("cache-hit", Vec::new());
-            }
-            return JobReport {
-                label: job.label.clone(),
-                outcome: JobOutcome::Cached(v),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                attempts: 0,
-                replayed: false,
-                backoff_ms: 0.0,
-            };
-        }
-        if let Some(t) = tr {
-            t.instant("cache-miss", Vec::new());
-        }
-    }
-    let supervised = ctx.isolate == IsolateMode::Process && job.child_args.is_some();
-    let mut attempts = 0u32;
-    let mut backoff_ms = 0.0f64;
-    // Every failure class routes through the backoff policy: it decides
-    // both whether another attempt happens and how long to wait first
-    // (deterministic schedule — see `BackoffPolicy`). Structured errors
-    // are final under the default policy, but that is the policy's
-    // decision, not a special case here.
-    let retry_after = |class: FailureClass, attempts: u32, backoff_ms: &mut f64| -> bool {
-        match ctx.backoff.next_delay(class, attempts, ctx.retries) {
-            Some(delay) => {
-                if let Some(t) = tr {
-                    t.instant(
-                        "retry",
-                        vec![
-                            (
-                                "class".to_owned(),
-                                JsonValue::from(failure_class_name(class)),
-                            ),
-                            ("attempt".to_owned(), JsonValue::from(u64::from(attempts))),
-                            (
-                                "delay_ms".to_owned(),
-                                JsonValue::F64(delay.as_secs_f64() * 1e3),
-                            ),
-                        ],
-                    );
-                }
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                *backoff_ms += delay.as_secs_f64() * 1e3;
-                true
-            }
-            None => false,
-        }
-    };
-    let outcome = loop {
-        attempts += 1;
-        match attempt(job, ctx, tr, attempts) {
-            Attempt::Ok(v) => {
-                if let Some(c) = ctx.cache {
-                    let store = tr.map(|t| t.span("cache-store"));
-                    let stored = c.store(&job.key, &v);
-                    drop(store);
-                    if let Err(e) = stored {
-                        eprintln!("warning: cannot cache result of {}: {e}", job.label);
-                    }
-                }
-                break JobOutcome::Ok(v);
-            }
-            Attempt::Err(e) => {
-                if !retry_after(FailureClass::Structured, attempts, &mut backoff_ms) {
-                    break JobOutcome::Errored {
-                        category: e.category,
-                        error: e.message,
-                    };
-                }
-            }
-            Attempt::Crashed(error) => {
-                if !retry_after(FailureClass::Crash, attempts, &mut backoff_ms) {
-                    if let Some(t) = tr {
-                        t.instant(if supervised { "poisoned" } else { "crashed" }, Vec::new());
-                    }
-                    break if supervised {
-                        JobOutcome::Poisoned {
-                            error: format!("quarantined after {attempts} attempt(s): {error}"),
-                        }
-                    } else {
-                        JobOutcome::Failed { error }
-                    };
-                }
-            }
-            Attempt::Hung => {
-                if !retry_after(FailureClass::Hang, attempts, &mut backoff_ms) {
-                    if let Some(t) = tr {
-                        t.instant("timeout", Vec::new());
-                    }
-                    let ms = ctx.timeout.map_or(0, |t| t.as_millis());
-                    break JobOutcome::TimedOut {
-                        error: if supervised {
-                            format!(
-                                "no result within {ms} ms on any of {attempts} attempt(s); \
-                                 child process(es) killed"
-                            )
-                        } else {
-                            format!(
-                                "no result within {ms} ms on any of {attempts} attempt(s); \
-                                 attempt thread(s) abandoned"
-                            )
-                        },
-                    };
-                }
-            }
-        }
-    };
-    JobReport {
-        label: job.label.clone(),
-        outcome,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        attempts,
-        replayed: false,
-        backoff_ms,
     }
 }
 
@@ -1199,6 +869,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmpsim_telemetry::trace::{EventKind, TraceEvent};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn jobs(n: u64) -> Vec<ExperimentJob> {
         (0..n)
@@ -1296,5 +968,33 @@ mod tests {
         assert_eq!(events.iter().filter(|e| e.name == "retry").count(), 1);
         assert!(events.iter().any(|e| e.name == "crashed"));
         assert_eq!(events.iter().filter(|e| e.name == "execute").count(), 2);
+    }
+
+    #[test]
+    fn duplicated_key_executes_once_and_the_copy_is_cached() {
+        let dir = std::env::temp_dir().join(format!("cmpsim_pool_dup_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let executions = Arc::new(AtomicUsize::new(0));
+        let copy = |label: &str| {
+            let executions = Arc::clone(&executions);
+            ExperimentJob::new(label, JobKey::new("dup").field("cell", 0), move || {
+                executions.fetch_add(1, Ordering::SeqCst);
+                JsonValue::U64(42)
+            })
+        };
+        // The second copy is served from the first one's result (here
+        // through the cache; the `sched` tests pin the in-flight join).
+        let report = Runner::new(RunnerConfig {
+            workers: 1,
+            cache_dir: Some(dir.clone()),
+            ..RunnerConfig::default()
+        })
+        .run(vec![copy("first"), copy("second")]);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        assert_eq!(report.ok_count(), 1);
+        assert_eq!(report.cached_count(), 1);
+        let payloads: Vec<u64> = report.payloads().filter_map(JsonValue::as_u64).collect();
+        assert_eq!(payloads, [42, 42]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

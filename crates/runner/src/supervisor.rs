@@ -116,32 +116,13 @@ impl SupervisedAttempt {
     }
 }
 
-/// Runs one supervised attempt: spawns the current executable with
-/// `args`, waits (killing at `timeout` if set), and parses the marker
-/// line(s). With `trace` set, the child is asked (via
-/// [`CHILD_TRACE_ENV`]) to report its own spans.
-pub(crate) fn attempt(
-    args: &[String],
-    timeout: Option<Duration>,
-    trace: bool,
-) -> SupervisedAttempt {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            return SupervisedAttempt::bare(ChildAttempt::Crashed(format!(
-                "cannot locate current executable: {e}"
-            )))
-        }
-    };
-    run_program_inner(&exe, args, timeout, trace, false)
-}
-
-/// Runs one supervised attempt of an arbitrary `program` speaking the
-/// [`RESULT_MARKER`] protocol. This is the building block the grid
-/// service uses to shard cells submitted by *other* binaries: the
-/// client transmits its own executable path and per-cell argv, and the
-/// coordinator supervises it exactly like a local `--isolate=process`
-/// child.
+/// Runs one supervised attempt of `program` speaking the
+/// [`RESULT_MARKER`] protocol: spawns it with `args`, waits (killing at
+/// `timeout` if set), and parses the marker line(s). With `trace` set,
+/// the child is asked (via [`CHILD_TRACE_ENV`]) to report its own
+/// spans. A local `--isolate process` attempt runs the current
+/// executable; the grid service runs the executable a client submitted
+/// with its per-cell argv.
 pub fn run_program(
     program: &Path,
     args: &[String],
@@ -151,21 +132,11 @@ pub fn run_program(
     run_program_inner(program, args, timeout, trace, false)
 }
 
-/// [`run_program`], except the child is SIGKILLed immediately after
-/// spawn, before it can report. The attempt therefore ends as a
-/// genuine [`ChildAttempt::Crashed`] — the chaos hook behind the
-/// service's `--chaos-kill-label`, exercising the crash/re-shard path
-/// with a real dead process rather than a simulated error.
-pub fn run_program_sabotaged(
-    program: &Path,
-    args: &[String],
-    timeout: Option<Duration>,
-    trace: bool,
-) -> SupervisedAttempt {
-    run_program_inner(program, args, timeout, trace, true)
-}
-
-fn run_program_inner(
+/// [`run_program`]; with `sabotage_kill` the child is SIGKILLed right
+/// after spawn, before it can report, so the attempt ends as a genuine
+/// [`ChildAttempt::Crashed`] — the chaos hook behind the service's
+/// `--chaos-kill-label`.
+pub(crate) fn run_program_inner(
     exe: &Path,
     args: &[String],
     timeout: Option<Duration>,

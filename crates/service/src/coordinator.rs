@@ -1,62 +1,60 @@
-//! The coordinator daemon: accept loop, fair scheduler, worker fleet,
-//! and the lease table for remote agents.
+//! The coordinator daemon: the [`cmpsim_runner::sched`] scheduling
+//! core plus a TCP front, client attach, restart recovery, and the
+//! lease table for remote agents.
 //!
-//! One [`Coordinator`] owns a TCP listener, a fleet of local worker
-//! threads (each supervising one child process at a time via
-//! [`cmpsim_runner::run_program`]), the shared content-addressed
-//! result cache, and a per-run write-ahead journal + flight recorder.
-//! Remote [`agents`](crate::agent) dial in over the same listener,
-//! register over a versioned handshake (protocol version + binary
-//! fingerprint + slot count), and pull cells alongside the local
-//! workers.
+//! One [`Coordinator`] owns a TCP listener, a [`Scheduler`] shared by
+//! every submission (fair round-robin across runs, the shared
+//! content-addressed result cache, in-flight dedup, the backoff/poison
+//! budget), a fleet of local worker threads running the core's
+//! [`work`](sched::work) loop — each attempt supervises one child
+//! process of the client's binary — and a per-run write-ahead journal +
+//! flight recorder. Remote [`agents`](crate::agent) dial in over the
+//! same listener, register over a versioned handshake (protocol
+//! version + binary fingerprint + slot count), and pull cells from the
+//! same queue alongside the local workers.
 //!
-//! **Scheduling** is round-robin across runs: the queue holds
-//! `(run, pending cells)` entries; a worker (or agent feeder) pops the
-//! front run, takes *one* due cell, and pushes the run to the back.
-//! Concurrent sweeps therefore interleave cell-by-cell — a two-cell
-//! status probe is never starved behind a 64-cell paper-scale sweep.
-//!
-//! **Dedup** is two-layered. A cell whose key is already in the shared
-//! result cache streams back as `cached` without executing. A cell
-//! whose key is currently *executing* for another run joins that
-//! execution as a waiter: when the owner finishes, waiters receive the
-//! payload as `cached` (or the failure verbatim), so overlapping
-//! concurrent submissions execute each distinct cell exactly once.
+//! **Scheduling** is the core's: runs take turns handing out one cell
+//! at a time, so a two-cell status probe is never starved behind a
+//! 64-cell paper-scale sweep, and a cell whose key is cached or already
+//! executing for another run is served from that instead of running
+//! again (the `cache_hits` and `dedup_joins` counters).
 //!
 //! **Leases**: every cell dispatched to an agent carries a lease.
 //! Agents renew their leases by heartbeat; an agent that disconnects
 //! or goes silent past the lease TTL (3× the heartbeat interval) is
 //! *reclaimed* — its in-flight cells re-enter the queue as crash-class
-//! retries, bounded by the same [`BackoffPolicy`] budget as local
-//! crashes, so a cell that kills every agent is quarantined as
-//! `poisoned`, not retried forever. The lease table is the single
-//! finishing authority: a dead agent's last-gasp result and a
-//! reclaimed re-run race on removing the lease, exactly one wins, and
-//! the journal gets exactly one `job_done` per cell.
+//! retries through [`retry_or_complete`](sched::retry_or_complete),
+//! bounded by the same [`BackoffPolicy`] budget as local crashes, so a
+//! cell that kills every agent is quarantined as `poisoned`, not
+//! retried forever. The lease table is the single finishing authority
+//! for agent cells: a dead agent's last-gasp result and a reclaimed
+//! re-run race on removing the lease, exactly one wins, and the journal
+//! gets exactly one `job_done` per cell.
 //!
 //! **Failure model**: a worker child that crashes (SIGKILL, abort,
-//! OOM) is retried on the run's [`BackoffPolicy`] schedule and
-//! quarantined as `poisoned` when the budget runs out — the cell
-//! re-shards transparently; the client just sees one `job_done`. A
-//! client that disconnects mid-sweep stops receiving records, but the
-//! run finishes and journals server-side, so `--resume` (or `attach`)
-//! replays it.
+//! OOM) is retried on the [`BackoffPolicy`] schedule and quarantined as
+//! `poisoned` when the budget runs out; the client just sees one
+//! `job_done`. A client that disconnects mid-sweep stops receiving
+//! records, but the run finishes and journals server-side, so
+//! `--resume` (or `attach`) replays it.
 //!
 //! **Restart recovery**: a coordinator that dies mid-sweep leaves each
 //! run's write-ahead journal behind. On the next `cmpsim serve`
 //! startup, [`recover_runs`] scans the journal directory and rebuilds
-//! every unfinished run from its journalled `submission` record:
-//! completed cells are tallied from their `job_done` records, dangling
-//! in-flight and never-started cells re-enter the scheduler under the
-//! ordinary backoff/poison budget, and the run executes to completion
-//! with no client action. Every `job_done` carries a per-run monotone
-//! record sequence (`rseq`, minted by the journal under the run's emit
-//! lock so journal order == wire order); a client that lost its
-//! coordinator reattaches with `attach {run_id, after_seq}` and the
-//! coordinator replays the records it missed straight from the journal
-//! before splicing it into the live stream. The listener binds with
-//! `SO_REUSEADDR`, so the restarted daemon can take the same address
-//! while the old incarnation's sockets drain in `TIME_WAIT`.
+//! every unfinished run from its journalled `submission` record,
+//! splitting its cells with the same [`partition`](sched::partition) a
+//! resumed batch uses: completed cells are tallied from their
+//! `job_done` records, dangling in-flight and never-started cells
+//! re-enter the scheduler under the ordinary backoff/poison budget, and
+//! the run executes to completion with no client action. Every
+//! `job_done` carries a per-run monotone record sequence (`rseq`,
+//! minted by the journal under the run's emit lock so journal order ==
+//! wire order); a client that lost its coordinator reattaches with
+//! `attach {run_id, after_seq}` and the coordinator replays the records
+//! it missed straight from the journal before splicing it into the live
+//! stream. The listener binds with `SO_REUSEADDR`, so the restarted
+//! daemon can take the same address while the old incarnation's
+//! sockets drain in `TIME_WAIT`.
 //!
 //! **Degradation**: if journal appends start failing (disk full, dir
 //! deleted), the run keeps executing but is marked *degraded* — it
@@ -64,23 +62,26 @@
 //! removed so a later boot will not recover from a lying journal;
 //! reattach and `--resume` are refused for it.
 //!
-//! Every socket carries read/write deadlines, so a hung or half-open
-//! peer can never wedge the accept loop, a worker, or an agent session
-//! indefinitely.
+//! The accept loop blocks in `accept`; a shutdown request wakes it by
+//! dialing the listener once. Every socket carries read/write
+//! deadlines, so a hung or half-open peer can never wedge the accept
+//! loop, a worker, or an agent session indefinitely.
 
 use crate::proto::{self, AgentHello, Attach, CellSpec, Dispatch, Submission, PROTOCOL_VERSION};
-use cmpsim_runner::{
-    file_fingerprint, fresh_run_id, process_nonce, record, run_program, run_program_sabotaged,
-    BackoffPolicy, ChildAttempt, FailureClass, JobKey, JobOutcome, JournalConfig, ResultCache,
-    RunJournal, ShutdownFlag,
+use cmpsim_runner::sched::{
+    self, ExecSpan, Host, Partition, Pending, RunState, RunTrace, Scheduler,
 };
-use cmpsim_telemetry::trace::{self as ftrace, FlightRecorder, Lane};
+use cmpsim_runner::{
+    file_fingerprint, fresh_run_id, process_nonce, record, BackoffPolicy, ChildAttempt, JobOutcome,
+    JobReport, JournalConfig, ResultCache, RunJournal, ShutdownFlag,
+};
+use cmpsim_telemetry::trace::{self as ftrace, FlightRecorder, Lane, OpenSpan};
 use cmpsim_telemetry::JsonValue;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, HashSet};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Write deadline on every coordinator-side socket: a peer that cannot
@@ -160,9 +161,6 @@ struct Counters {
     submissions: AtomicU64,
     runs_completed: AtomicU64,
     cells_total: AtomicU64,
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-    dedup_joins: AtomicU64,
     replayed: AtomicU64,
     crashes: AtomicU64,
     agents_joined: AtomicU64,
@@ -176,7 +174,13 @@ struct Counters {
 }
 
 impl Counters {
-    fn snapshot(&self, workers: usize) -> JsonValue {
+    /// The counters plus the scheduler's claim counters
+    /// (`executed`, `cache_hits`, `dedup_joins`).
+    fn snapshot(
+        &self,
+        workers: usize,
+        (executed, cache_hits, dedup_joins): (u64, u64, u64),
+    ) -> JsonValue {
         let get = |a: &AtomicU64| JsonValue::U64(a.load(Ordering::Relaxed));
         JsonValue::object([
             ("kind", JsonValue::from("counters")),
@@ -184,9 +188,9 @@ impl Counters {
             ("submissions", get(&self.submissions)),
             ("runs_completed", get(&self.runs_completed)),
             ("cells_total", get(&self.cells_total)),
-            ("executed", get(&self.executed)),
-            ("cache_hits", get(&self.cache_hits)),
-            ("dedup_joins", get(&self.dedup_joins)),
+            ("executed", JsonValue::U64(executed)),
+            ("cache_hits", JsonValue::U64(cache_hits)),
+            ("dedup_joins", JsonValue::U64(dedup_joins)),
             ("replayed", get(&self.replayed)),
             ("crashes", get(&self.crashes)),
             ("agents_joined", get(&self.agents_joined)),
@@ -210,36 +214,30 @@ struct Run {
     experiment: String,
     exe: PathBuf,
     cells: Vec<CellSpec>,
-    journal: RunJournal,
-    /// Serializes journal-append + client-send for `job_done` records,
-    /// so rseq order, journal order, and wire order always agree —
-    /// `attach` relies on "everything after rseq N" being exact. Also
-    /// the gate an attach takes to splice into the stream without
-    /// missing or duplicating a record.
-    emit: Mutex<()>,
+    /// Journal, emit lock and tally. The emit lock serializes
+    /// journal-append + client-send for `job_done` records, so rseq
+    /// order, journal order, and wire order always agree — `attach`
+    /// relies on "everything after rseq N" being exact, and takes the
+    /// lock to splice into the stream without missing or duplicating a
+    /// record.
+    state: RunState,
     /// The client's write side; `None` once the client is gone (the
     /// run still completes — `attach`/`--resume` replays it).
     client: Mutex<Option<TcpStream>>,
-    /// Pending (non-replayed) cells left; the run ends at zero.
-    remaining: AtomicUsize,
-    ok: AtomicUsize,
-    cached: AtomicUsize,
-    failed: AtomicUsize,
     recorder: Arc<FlightRecorder>,
     service_lane: Lane,
-    worker_lanes: Vec<Lane>,
+    /// The `run` umbrella span, ended when the run finishes.
+    span: Mutex<Option<OpenSpan>>,
     trace_path: PathBuf,
     workers: usize,
 }
 
 impl Run {
-    fn tally(&self, outcome: &JobOutcome) {
-        match outcome {
-            JobOutcome::Ok(_) => &self.ok,
-            JobOutcome::Cached(_) => &self.cached,
-            _ => &self.failed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    fn journal(&self) -> &RunJournal {
+        self.state
+            .journal
+            .as_ref()
+            .expect("service runs are always journalled")
     }
 
     /// Streams one message to the client; a failed write marks the
@@ -274,35 +272,6 @@ impl Run {
             fields.push(("replayed".to_owned(), JsonValue::Bool(true)));
         }
         self.send(&JsonValue::Object(fields));
-    }
-}
-
-/// One pending cell in the fair rotation.
-struct Pending {
-    seq: usize,
-    /// Attempts already consumed (0 for a fresh cell); the next
-    /// dispatch is attempt `attempt + 1`.
-    attempt: u32,
-    /// An owned cell already holds the in-flight slot and has
-    /// journalled its `job_start` — it re-entered the queue through a
-    /// reclaim or retry, so claiming is skipped.
-    owned: bool,
-    /// Backoff gate: not schedulable before this instant.
-    not_before: Option<Instant>,
-}
-
-impl Pending {
-    fn fresh(seq: usize) -> Pending {
-        Pending {
-            seq,
-            attempt: 0,
-            owned: false,
-            not_before: None,
-        }
-    }
-
-    fn due(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| t <= now)
     }
 }
 
@@ -343,9 +312,8 @@ struct Lease {
 /// sessions.
 struct Shared {
     cfg: ServeConfig,
-    cache: Option<ResultCache>,
-    sched: Mutex<Sched>,
-    work: Condvar,
+    /// The scheduling core every run queues on.
+    core: Scheduler<Run>,
     counters: Counters,
     chaos_armed: AtomicBool,
     /// Arms the daemon-abort chaos hook ([`ServeConfig::chaos_crash_label`])
@@ -368,79 +336,6 @@ struct Shared {
     /// handshakes must match it (`None` if the binary could not be
     /// hashed — the check is then skipped).
     binary: Option<String>,
-}
-
-#[derive(Default)]
-struct Sched {
-    /// Fair rotation: a worker pops the front run, takes one cell,
-    /// pushes the run back.
-    queue: VecDeque<(Arc<Run>, VecDeque<Pending>)>,
-    /// Canonical key → waiters joining the in-flight execution.
-    inflight: HashMap<String, Vec<(Arc<Run>, usize)>>,
-    draining: bool,
-}
-
-/// What a scheduler poll produced.
-enum Popped {
-    /// A due cell, plus the queue depth left behind (for the trace
-    /// counter).
-    Cell(Arc<Run>, Pending, usize),
-    /// Only backoff-gated cells exist; the soonest is due in this long.
-    Wait(Duration),
-    /// Queue empty and the daemon is draining.
-    Drained,
-    /// Queue empty; wait for work.
-    Empty,
-}
-
-/// Pops one due cell from the fair rotation, preserving round-robin
-/// order across runs.
-fn try_pop(sched: &mut Sched, now: Instant) -> Popped {
-    let rounds = sched.queue.len();
-    let mut soonest: Option<Instant> = None;
-    for _ in 0..rounds {
-        let (run, mut cells) = sched.queue.pop_front().expect("queue length checked");
-        if let Some(pos) = cells.iter().position(|p| p.due(now)) {
-            let pending = cells.remove(pos).expect("position from iter");
-            let depth: usize =
-                cells.len() + sched.queue.iter().map(|(_, c)| c.len()).sum::<usize>();
-            if !cells.is_empty() {
-                sched.queue.push_back((Arc::clone(&run), cells));
-            }
-            return Popped::Cell(run, pending, depth);
-        }
-        let run_soonest = cells.iter().filter_map(|p| p.not_before).min();
-        soonest = match (soonest, run_soonest) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        sched.queue.push_back((run, cells));
-    }
-    if let Some(t) = soonest {
-        return Popped::Wait(
-            t.saturating_duration_since(now)
-                .max(Duration::from_millis(1)),
-        );
-    }
-    if sched.draining {
-        Popped::Drained
-    } else {
-        Popped::Empty
-    }
-}
-
-/// Re-enqueues one cell (appending to the run's existing queue entry
-/// if it still has one) and wakes the fleet.
-fn enqueue(shared: &Shared, run: &Arc<Run>, pending: Pending) {
-    let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    match sched.queue.iter_mut().find(|(r, _)| Arc::ptr_eq(r, run)) {
-        Some((_, cells)) => cells.push_back(pending),
-        None => sched
-            .queue
-            .push_back((Arc::clone(run), VecDeque::from([pending]))),
-    }
-    drop(sched);
-    shared.work.notify_all();
 }
 
 /// Binds a listener with `SO_REUSEADDR`, so a restarted daemon can
@@ -542,16 +437,21 @@ impl Coordinator {
     /// Propagates bind failures (address in use, permission).
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Coordinator> {
         let listener = bind_reuseaddr(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let cache = cfg.cache_dir.clone().map(ResultCache::new);
+        // The service's scheduler never skips queued cells: a shutdown
+        // stops the accept loop, and the workers drain the queue.
+        let core = Scheduler::new(
+            cfg.cache_dir.clone().map(ResultCache::new),
+            cfg.retries,
+            cfg.backoff.clone(),
+            cfg.job_timeout,
+            None,
+        );
         let binary = std::env::current_exe()
             .ok()
             .and_then(|p| file_fingerprint(&p).ok());
         let shared = Arc::new(Shared {
             cfg,
-            cache,
-            sched: Mutex::new(Sched::default()),
-            work: Condvar::new(),
+            core,
             counters: Counters::default(),
             chaos_armed: AtomicBool::new(true),
             chaos_crash_armed: AtomicBool::new(true),
@@ -580,45 +480,56 @@ impl Coordinator {
     /// runs the worker fleet plus the lease reaper. Returns after a
     /// graceful drain.
     pub fn run(&self) {
+        let shutdown = self.shared.cfg.shutdown.as_ref();
+        let stopping = || shutdown.is_some_and(ShutdownFlag::requested);
         std::thread::scope(|s| {
             for wid in 0..self.shared.cfg.workers {
-                let shared = Arc::clone(&self.shared);
-                s.spawn(move || worker_loop(&shared, wid));
+                let shared = &*self.shared;
+                s.spawn(move || sched::work(shared, wid));
             }
             {
                 let shared = Arc::clone(&self.shared);
                 s.spawn(move || reaper_loop(&shared));
             }
-            loop {
-                if self
-                    .shared
-                    .cfg
-                    .shutdown
-                    .as_ref()
-                    .is_some_and(ShutdownFlag::requested)
-                {
-                    break;
-                }
+            // `accept` blocks, so a shutdown request must wake it: this
+            // thread watches the flag and then dials the listener once.
+            if let (Some(flag), Ok(addr)) = (shutdown, self.local_addr()) {
+                s.spawn(move || {
+                    while !flag.requested() {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    let _ = TcpStream::connect_timeout(&loopback(addr), Duration::from_secs(1));
+                });
+            }
+            while !stopping() {
                 match self.listener.accept() {
+                    Ok(_) if stopping() => break,
                     Ok((stream, _)) => {
                         let shared = Arc::clone(&self.shared);
                         s.spawn(move || handle_conn(&shared, stream));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
                     Err(e) => {
+                        // e.g. EMFILE: back off instead of spinning.
                         eprintln!("cmpsim serve: accept failed: {e}");
                         std::thread::sleep(Duration::from_millis(50));
                     }
                 }
             }
-            let mut sched = self.shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            sched.draining = true;
-            drop(sched);
-            self.shared.work.notify_all();
+            self.shared.core.drain();
         });
     }
+}
+
+/// Where to dial a listener bound to `addr` from this host: a wildcard
+/// bind is reachable on loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// One client connection: read the request line, dispatch.
@@ -690,7 +601,9 @@ fn send_error(stream: &mut TcpStream, message: &str) {
 /// The `status` reply: lifetime counters plus one row per connected
 /// agent.
 fn status_snapshot(shared: &Shared) -> JsonValue {
-    let mut snap = shared.counters.snapshot(shared.cfg.workers);
+    let mut snap = shared
+        .counters
+        .snapshot(shared.cfg.workers, shared.core.stats());
     let mut rows: Vec<(u64, JsonValue)> = {
         let agents = shared.agents.lock().unwrap_or_else(|e| e.into_inner());
         agents
@@ -772,25 +685,12 @@ fn register_submission(
         }
     };
 
-    // Partition: cells with a journalled terminal outcome replay
-    // instantly; the rest execute (in-flight ones from a dead run are
-    // the `recovered` count, mirroring the batch pool).
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    let mut replayed = Vec::new();
-    let mut recovered = 0usize;
-    for (i, cell) in sub.cells.iter().enumerate() {
-        match replay.completed.get(&cell.key) {
-            Some(done) => replayed.push((i, done.clone())),
-            None => {
-                if replay.in_flight.contains(&cell.key) {
-                    recovered += 1;
-                }
-                pending.push_back(Pending::fresh(i));
-            }
-        }
-    }
+    // Cells with a journalled terminal outcome replay instantly; the
+    // rest execute (in-flight ones from a dead run are the `recovered`
+    // count, as for a resumed batch).
+    let part = sched::partition(sub.cells.iter().map(|c| c.key.as_str()), &replay);
     let total = sub.cells.len();
-    journal.run_start(&run_id, total, replayed.len());
+    journal.run_start(&run_id, total, part.replayed.len());
     // Journal the submission itself (exe, experiment, cell list): the
     // journal then holds everything a *restarted* daemon needs to
     // rebuild and finish this run with no client involved.
@@ -800,64 +700,33 @@ fn register_submission(
         .cells_total
         .fetch_add(total as u64, Ordering::Relaxed);
 
-    let workers = shared.cfg.workers;
     proto::write_msg(
         &mut stream,
         &JsonValue::object([
             ("kind", JsonValue::from("accepted")),
             ("run_id", JsonValue::from(run_id.as_str())),
             ("total", JsonValue::from(total)),
-            ("workers", JsonValue::from(workers)),
-            ("recovered", JsonValue::from(recovered)),
+            ("workers", JsonValue::from(shared.cfg.workers)),
+            ("recovered", JsonValue::from(part.recovered)),
         ]),
     )?;
 
-    let recorder = FlightRecorder::new();
-    let service_lane = recorder.lane("service");
-    let worker_lanes = (0..workers)
-        .map(|i| recorder.lane(&format!("worker-{i}")))
-        .collect();
-    let trace_path = shared.cfg.journal_dir.join(format!("{run_id}.trace.jsonl"));
-    service_lane.instant(
+    let run = new_run(shared, run_id, sub, journal, Some(stream), &part);
+    run.service_lane.instant(
         "submit",
         "",
         0,
         vec![
-            ("run_id".to_owned(), JsonValue::from(run_id.as_str())),
+            ("run_id".to_owned(), JsonValue::from(run.id.as_str())),
             ("cells".to_owned(), JsonValue::from(total)),
-            ("replayed".to_owned(), JsonValue::from(replayed.len())),
+            ("replayed".to_owned(), JsonValue::from(part.replayed.len())),
         ],
     );
-    let run = Arc::new(Run {
-        id: run_id,
-        experiment: sub.experiment,
-        exe: sub.exe,
-        cells: sub.cells,
-        journal,
-        emit: Mutex::new(()),
-        client: Mutex::new(Some(stream)),
-        remaining: AtomicUsize::new(pending.len()),
-        ok: AtomicUsize::new(0),
-        cached: AtomicUsize::new(0),
-        failed: AtomicUsize::new(0),
-        recorder,
-        service_lane,
-        worker_lanes,
-        trace_path,
-        workers,
-    });
-    {
-        let mut runs = shared.runs.lock().unwrap_or_else(|e| e.into_inner());
-        runs.retain(|w| w.strong_count() > 0);
-        runs.push(Arc::downgrade(&run));
-    }
-
-    // Stream replays in rseq order, so the client's "highest rseq
+    // Replays stream in rseq order, so the client's "highest rseq
     // received" watermark is gapless if it has to reattach mid-replay.
-    replayed.sort_by_key(|(_, done)| done.rseq);
-    for (seq, done) in replayed {
+    for (seq, done) in part.replayed {
         shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-        run.tally(&done.outcome);
+        run.state.tally(&done.outcome);
         run.send_job_done(
             &run.cells[seq],
             &done.outcome,
@@ -866,294 +735,129 @@ fn register_submission(
             true,
         );
     }
-
-    if run.remaining.load(Ordering::Acquire) == 0 {
-        finish_run(shared, &run);
-    } else {
-        let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-        sched.queue.push_back((run, pending));
-        drop(sched);
-        shared.work.notify_all();
-    }
+    start_run(shared, run, part.pending);
     Ok(())
 }
 
-/// One worker thread: pull a cell from the fair rotation, process it,
-/// repeat until drained.
-fn worker_loop(shared: &Shared, wid: usize) {
-    let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        match try_pop(&mut sched, Instant::now()) {
-            Popped::Cell(run, pending, depth) => {
-                drop(sched);
-                run.service_lane.counter("queue_depth", "", depth as f64);
-                process_cell(shared, &run, pending, wid);
-                sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            }
-            Popped::Wait(d) => {
-                sched = shared
-                    .work
-                    .wait_timeout(sched, d)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-            Popped::Empty => {
-                sched = shared.work.wait(sched).unwrap_or_else(|e| e.into_inner());
-            }
-            Popped::Drained => return,
-        }
+/// Builds a run whose cells split as `part`, registers it for attach
+/// and keepalives, and opens its trace: a `service` lane holding the
+/// `run` span and lifecycle markers, plus one lane per local worker.
+fn new_run(
+    shared: &Shared,
+    id: String,
+    sub: Submission,
+    journal: RunJournal,
+    client: Option<TcpStream>,
+    part: &Partition,
+) -> Arc<Run> {
+    let workers = shared.cfg.workers;
+    let recorder = FlightRecorder::new();
+    let service_lane = recorder.lane("service");
+    let mut span = service_lane.begin("run", "", 0);
+    span.arg("run", id.as_str());
+    span.arg("jobs", sub.cells.len() as u64);
+    span.arg("workers", workers as u64);
+    span.arg("replayed", part.replayed.len() as u64);
+    let trace = RunTrace::new(&recorder, workers, span.span_id());
+    let (keys, labels) = sub
+        .cells
+        .iter()
+        .map(|c| (c.key.clone(), c.label.clone()))
+        .unzip();
+    let run = Arc::new(Run {
+        trace_path: shared.cfg.journal_dir.join(format!("{id}.trace.jsonl")),
+        id,
+        experiment: sub.experiment,
+        exe: sub.exe,
+        cells: sub.cells,
+        state: RunState::new(keys, labels, Some(journal), part.pending.len(), Some(trace)),
+        client: Mutex::new(client),
+        recorder,
+        service_lane,
+        span: Mutex::new(Some(span)),
+        workers,
+    });
+    let mut runs = shared.runs.lock().unwrap_or_else(|e| e.into_inner());
+    runs.retain(|w| w.strong_count() > 0);
+    runs.push(Arc::downgrade(&run));
+    run
+}
+
+/// Queues a run's pending cells — or, with none left, closes it out.
+fn start_run(shared: &Shared, run: Arc<Run>, pending: std::collections::VecDeque<Pending>) {
+    if run.state.remaining() == 0 {
+        finish_run(shared, &run);
+    } else {
+        shared.core.enqueue(&run, pending);
     }
 }
 
-/// How claiming a cell resolved.
-enum Claim {
-    /// Served from the cache (or otherwise finished) — nothing to run.
-    Finished,
-    /// Joined another run's in-flight execution as a waiter.
-    Joined,
-    /// This caller owns the execution.
-    Own,
-}
+impl Host for Shared {
+    type Run = Run;
 
-/// Claims one fresh cell: journal its start, then cache lookup, then
-/// in-flight dedup. Returns [`Claim::Own`] with the in-flight slot
-/// held.
-fn claim(shared: &Shared, run: &Arc<Run>, seq: usize) -> Claim {
-    let cell = &run.cells[seq];
-    run.journal.job_start(seq, &cell.key, &cell.label);
+    fn core(&self) -> &Scheduler<Run> {
+        &self.core
+    }
 
-    // Chaos hook: die *after* the write-ahead `job_start` — exactly the
-    // window a real coordinator loss leaves a dangling in-flight cell
-    // for restart recovery to re-enqueue.
-    if shared.cfg.chaos_crash_label.as_deref() == Some(cell.label.as_str())
-        && shared.chaos_crash_armed.swap(false, Ordering::SeqCst)
-    {
-        eprintln!(
-            "cmpsim serve: chaos hook aborting the daemon on cell {}",
-            cell.label
+    fn state(run: &Run) -> &RunState {
+        &run.state
+    }
+
+    fn supervised(&self, _run: &Run, _seq: usize) -> bool {
+        true
+    }
+
+    /// One supervised child of the client's binary. The kill chaos hook
+    /// fires on the first matching attempt only: the child is SIGKILLed
+    /// right after spawn, a genuine crash the retry loop re-runs.
+    fn attempt(&self, run: &Run, seq: usize, exec: Option<&ExecSpan>) -> ChildAttempt {
+        let cell = &run.cells[seq];
+        let sabotage = self.cfg.chaos_kill_label.as_deref() == Some(cell.label.as_str())
+            && self.chaos_armed.swap(false, Ordering::SeqCst);
+        let attempt = sched::supervise(exec, &run.exe, &cell.args, self.cfg.job_timeout, sabotage);
+        if matches!(attempt, ChildAttempt::Crashed(_)) {
+            self.counters.crashes.fetch_add(1, Ordering::Relaxed);
+        }
+        attempt
+    }
+
+    /// Chaos hook: die *after* the write-ahead `job_start` — exactly the
+    /// window a real coordinator loss leaves a dangling in-flight cell
+    /// for restart recovery to re-enqueue.
+    fn started(&self, run: &Run, seq: usize) {
+        let label = run.cells[seq].label.as_str();
+        if self.cfg.chaos_crash_label.as_deref() == Some(label)
+            && self.chaos_crash_armed.swap(false, Ordering::SeqCst)
+        {
+            eprintln!("cmpsim serve: chaos hook aborting the daemon on cell {label}");
+            std::process::abort();
+        }
+    }
+
+    fn deliver(&self, run: &Run, seq: usize, report: JobReport, rseq: u64) {
+        run.send_job_done(
+            &run.cells[seq],
+            &report.outcome,
+            report.attempts,
+            rseq,
+            false,
         );
-        std::process::abort();
     }
 
-    // Layer 1: the shared result cache (a finished cell from any
-    // client, this boot or an earlier one).
-    let key = JobKey::from_canonical(&cell.key);
-    if let (Some(cache), Some(key)) = (shared.cache.as_ref(), key.as_ref()) {
-        if let Some(payload) = cache.lookup(key) {
-            shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            finish_cell(shared, run, seq, &JobOutcome::Cached(payload), 0);
-            return Claim::Finished;
-        }
-    }
-
-    // Layer 2: in-flight dedup — join an execution another run owns.
-    {
-        let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(waiters) = sched.inflight.get_mut(&cell.key) {
-            waiters.push((Arc::clone(run), seq));
-            shared.counters.dedup_joins.fetch_add(1, Ordering::Relaxed);
-            return Claim::Joined;
-        }
-        sched.inflight.insert(cell.key.clone(), Vec::new());
-    }
-    shared.counters.executed.fetch_add(1, Ordering::Relaxed);
-    Claim::Own
-}
-
-/// Completes an owned cell: store the payload, journal + stream the
-/// outcome, and resolve any dedup waiters.
-fn complete_owned(
-    shared: &Shared,
-    run: &Arc<Run>,
-    seq: usize,
-    outcome: &JobOutcome,
-    attempts: u32,
-) {
-    let cell = &run.cells[seq];
-    if let JobOutcome::Ok(payload) = outcome {
-        if let Some(cache) = shared.cache.as_ref() {
-            if let Some(key) = JobKey::from_canonical(&cell.key) {
-                if let Err(e) = cache.store(&key, payload) {
-                    eprintln!("cmpsim serve: cache store failed: {e}");
-                }
-            }
-        }
-    }
-    finish_cell(shared, run, seq, outcome, attempts);
-
-    // Resolve waiters: they receive the payload as a cache hit, or the
-    // failure verbatim.
-    let waiters = {
-        let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-        sched.inflight.remove(&cell.key).unwrap_or_default()
-    };
-    for (wrun, wseq) in waiters {
-        let shared_outcome = match outcome.payload() {
-            Some(v) => JobOutcome::Cached(v.clone()),
-            None => outcome.clone(),
-        };
-        finish_cell(shared, &wrun, wseq, &shared_outcome, 0);
-    }
-}
-
-/// A failed attempt either re-enters the queue (backoff-gated, still
-/// owned) or completes with the failure when the budget is spent.
-fn retry_or_complete(
-    shared: &Shared,
-    run: &Arc<Run>,
-    seq: usize,
-    class: FailureClass,
-    failure: JobOutcome,
-    attempt: u32,
-) {
-    match shared
-        .cfg
-        .backoff
-        .next_delay(class, attempt, shared.cfg.retries)
-    {
-        Some(delay) => {
-            let not_before = (!delay.is_zero()).then(|| Instant::now() + delay);
-            enqueue(
-                shared,
-                run,
-                Pending {
-                    seq,
-                    attempt,
-                    owned: true,
-                    not_before,
-                },
-            );
-        }
-        None => complete_owned(shared, run, seq, &failure, attempt),
-    }
-}
-
-/// Processes one cell on a local worker: claim (unless re-owned), then
-/// the supervised retry loop.
-fn process_cell(shared: &Shared, run: &Arc<Run>, pending: Pending, wid: usize) {
-    let seq = pending.seq;
-    let cell = &run.cells[seq];
-    let lane = &run.worker_lanes[wid];
-    let mut span = lane.begin("cell", &cell.label, 0);
-    span.arg("run", run.id.as_str());
-
-    if !pending.owned {
-        match claim(shared, run, seq) {
-            Claim::Finished => {
-                span.arg("outcome", "cached");
-                return;
-            }
-            Claim::Joined => {
-                span.arg("outcome", "dedup_join");
-                return;
-            }
-            Claim::Own => {}
-        }
-    }
-    let (outcome, attempts) = execute_cell(shared, run, cell, lane, &mut span, pending.attempt + 1);
-    span.arg("outcome", outcome.kind());
-    complete_owned(shared, run, seq, &outcome, attempts);
-}
-
-/// The supervised retry loop for one owned cell. Returns the terminal
-/// outcome and the attempts spent.
-fn execute_cell(
-    shared: &Shared,
-    run: &Arc<Run>,
-    cell: &CellSpec,
-    lane: &Lane,
-    span: &mut ftrace::OpenSpan,
-    start_attempt: u32,
-) -> (JobOutcome, u32) {
-    let policy = &shared.cfg.backoff;
-    let retries = shared.cfg.retries;
-    let mut attempt = start_attempt.max(1);
-    loop {
-        // The chaos hook fires on the first matching dispatch only:
-        // the child is SIGKILLed right after spawn, producing a
-        // genuine crash that the retry loop re-shards.
-        let sabotage = shared.cfg.chaos_kill_label.as_deref() == Some(cell.label.as_str())
-            && shared.chaos_armed.swap(false, Ordering::SeqCst);
-        let mut exec = lane.begin("execute", &cell.label, span.span_id());
-        exec.arg("attempt", u64::from(attempt));
-        let base_ts = run.recorder.now_ns();
-        let res = if sabotage {
-            run_program_sabotaged(&run.exe, &cell.args, shared.cfg.job_timeout, true)
-        } else {
-            run_program(&run.exe, &cell.args, shared.cfg.job_timeout, true)
-        };
-        if !res.trace.is_empty() || res.trace_dropped > 0 {
-            run.recorder.add_dropped(res.trace_dropped);
-            ftrace::graft(lane, res.trace, &cell.label, exec.span_id(), base_ts, &[]);
-        }
-        drop(exec);
-        let (class, failure) = match res.attempt {
-            ChildAttempt::Ok(payload) => return (JobOutcome::Ok(payload), attempt),
-            ChildAttempt::Err(e) => (
-                FailureClass::Structured,
-                JobOutcome::Errored {
-                    category: e.category,
-                    error: e.message,
-                },
-            ),
-            ChildAttempt::Crashed(msg) => {
-                shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
-                lane.instant(
-                    "worker_crash",
-                    &cell.label,
-                    span.span_id(),
-                    vec![("attempt".to_owned(), JsonValue::from(u64::from(attempt)))],
-                );
-                (FailureClass::Crash, JobOutcome::Poisoned { error: msg })
-            }
-            ChildAttempt::Hung => (
-                FailureClass::Hang,
-                JobOutcome::TimedOut {
-                    error: format!("job process exceeded its deadline ({attempt} attempts)"),
-                },
-            ),
-        };
-        match policy.next_delay(class, attempt, retries) {
-            Some(delay) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                attempt += 1;
-            }
-            None => return (failure, attempt),
-        }
-    }
-}
-
-/// Journals, tallies, and streams one cell's terminal outcome; the
-/// last cell closes out the run.
-fn finish_cell(shared: &Shared, run: &Arc<Run>, seq: usize, outcome: &JobOutcome, attempts: u32) {
-    let cell = &run.cells[seq];
-    {
-        // The emit lock makes rseq assignment, the journal append, and
-        // the client send one atomic step — an `attach` splicing into
-        // the stream sees either all of a record or none of it.
-        let _emit = run.emit.lock().unwrap_or_else(|e| e.into_inner());
-        let rseq = run
-            .journal
-            .job_done_tracked(seq, &cell.key, &cell.label, outcome, attempts);
-        run.tally(outcome);
-        run.send_job_done(cell, outcome, attempts, rseq, false);
-    }
-    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_run(shared, run);
+    fn finished(&self, run: &Arc<Run>) {
+        finish_run(self, run);
     }
 }
 
 /// Closes out a run: journal `run_end`, trace sidecar, the `run_end`
 /// message, and the client socket.
 fn finish_run(shared: &Shared, run: &Arc<Run>) {
-    let (ok, cached, failed) = (
-        run.ok.load(Ordering::Relaxed),
-        run.cached.load(Ordering::Relaxed),
-        run.failed.load(Ordering::Relaxed),
-    );
-    run.journal.run_end(ok, cached, failed);
+    let (ok, cached, failed) = run.state.counts();
+    run.journal().run_end(ok, cached, failed);
+    if let Some(trace) = run.state.trace.as_ref() {
+        trace.close();
+    }
+    drop(run.span.lock().unwrap_or_else(|e| e.into_inner()).take());
     let events = run.recorder.drain_sorted();
     let lanes = run.recorder.lane_names();
     let meta: Vec<(String, JsonValue)> = vec![
@@ -1182,7 +886,7 @@ fn finish_run(shared: &Shared, run: &Arc<Run>) {
     // from it would silently drop cells. Downgrade the run to
     // non-resumable (remove the journal), count it, and keep serving;
     // the client still received every record over the live stream.
-    let degraded = run.journal.degraded();
+    let degraded = run.journal().degraded();
     if degraded {
         shared
             .counters
@@ -1192,12 +896,12 @@ fn finish_run(shared: &Shared, run: &Arc<Run>) {
             "cmpsim serve: run {} degraded to non-resumable: {} journal append(s) failed \
              (disk full?); removing its incomplete journal",
             run.id,
-            run.journal.append_failures()
+            run.journal().append_failures()
         );
-        if let Err(e) = std::fs::remove_file(run.journal.path()) {
+        if let Err(e) = std::fs::remove_file(run.journal().path()) {
             eprintln!(
                 "cmpsim serve: cannot remove degraded journal {}: {e}",
-                run.journal.path().display()
+                run.journal().path().display()
             );
         }
     }
@@ -1210,12 +914,14 @@ fn finish_run(shared: &Shared, run: &Arc<Run>) {
     if degraded {
         end.push(("journal_degraded".to_owned(), JsonValue::Bool(true)));
     }
-    run.send(&JsonValue::Object(end));
-    *run.client.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    // Counted before the client hears of it: a client that asks for
+    // `status` the moment its run ends must see the run completed.
     shared
         .counters
         .runs_completed
         .fetch_add(1, Ordering::Relaxed);
+    run.send(&JsonValue::Object(end));
+    *run.client.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
 // ---------------------------------------------------------------------
@@ -1279,16 +985,6 @@ fn recover_runs(shared: &Arc<Shared>) {
 /// journals are left alone — `--resume` still works on them).
 fn recover_run(shared: &Arc<Shared>, run_id: &str) {
     let jc = JournalConfig::new(shared.cfg.journal_dir.clone(), run_id.to_owned()).resuming();
-    let peek = read_journal_records(&jc.path());
-    let ended = peek
-        .iter()
-        .any(|r| r.get("kind").and_then(JsonValue::as_str) == Some("run_end"));
-    let has_submission = peek
-        .iter()
-        .any(|r| r.get("kind").and_then(JsonValue::as_str) == Some("submission"));
-    if ended || !has_submission {
-        return;
-    }
     let (journal, replay) = match RunJournal::open(&jc) {
         Ok(opened) => opened,
         Err(e) => {
@@ -1296,6 +992,9 @@ fn recover_run(shared: &Arc<Shared>, run_id: &str) {
             return;
         }
     };
+    if replay.ended || replay.submission.is_none() {
+        return;
+    }
     let Some((exe, experiment, cells)) = replay.submission.as_ref().and_then(|rec| {
         Some((
             PathBuf::from(rec.get("exe")?.as_str()?),
@@ -1311,36 +1010,20 @@ fn recover_run(shared: &Arc<Shared>, run_id: &str) {
         return;
     };
 
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    let (mut ok, mut cached, mut failed) = (0usize, 0usize, 0usize);
-    let mut requeued_in_flight = 0usize;
-    for (i, cell) in cells.iter().enumerate() {
-        match replay.completed.get(&cell.key) {
-            Some(done) => match done.outcome {
-                JobOutcome::Ok(_) => ok += 1,
-                JobOutcome::Cached(_) => cached += 1,
-                _ => failed += 1,
-            },
-            None => {
-                if replay.in_flight.contains(&cell.key) {
-                    requeued_in_flight += 1;
-                }
-                pending.push_back(Pending::fresh(i));
-            }
-        }
-    }
+    let part = sched::partition(cells.iter().map(|c| c.key.as_str()), &replay);
     let total = cells.len();
-    let done = total - pending.len();
+    let done = part.replayed.len();
+    let requeued = part.pending.len();
     journal.run_start(run_id, total, done);
-
-    let workers = shared.cfg.workers;
-    let recorder = FlightRecorder::new();
-    let service_lane = recorder.lane("service");
-    let worker_lanes = (0..workers)
-        .map(|i| recorder.lane(&format!("worker-{i}")))
-        .collect();
-    let trace_path = shared.cfg.journal_dir.join(format!("{run_id}.trace.jsonl"));
-    service_lane.instant(
+    let sub = Submission {
+        exe,
+        experiment,
+        run_id: Some(run_id.to_owned()),
+        resume: true,
+        cells,
+    };
+    let run = new_run(shared, run_id.to_owned(), sub, journal, None, &part);
+    run.service_lane.instant(
         "recovered",
         "",
         0,
@@ -1348,32 +1031,12 @@ fn recover_run(shared: &Arc<Shared>, run_id: &str) {
             ("run_id".to_owned(), JsonValue::from(run_id)),
             ("cells".to_owned(), JsonValue::from(total)),
             ("done".to_owned(), JsonValue::from(done)),
-            ("requeued".to_owned(), JsonValue::from(pending.len())),
-            ("in_flight".to_owned(), JsonValue::from(requeued_in_flight)),
+            ("requeued".to_owned(), JsonValue::from(requeued)),
+            ("in_flight".to_owned(), JsonValue::from(part.recovered)),
         ],
     );
-    let run = Arc::new(Run {
-        id: run_id.to_owned(),
-        experiment,
-        exe,
-        cells,
-        journal,
-        emit: Mutex::new(()),
-        client: Mutex::new(None),
-        remaining: AtomicUsize::new(pending.len()),
-        ok: AtomicUsize::new(ok),
-        cached: AtomicUsize::new(cached),
-        failed: AtomicUsize::new(failed),
-        recorder,
-        service_lane,
-        worker_lanes,
-        trace_path,
-        workers,
-    });
-    {
-        let mut runs = shared.runs.lock().unwrap_or_else(|e| e.into_inner());
-        runs.retain(|w| w.strong_count() > 0);
-        runs.push(Arc::downgrade(&run));
+    for (_, done) in &part.replayed {
+        run.state.tally(&done.outcome);
     }
     shared
         .counters
@@ -1382,25 +1045,18 @@ fn recover_run(shared: &Arc<Shared>, run_id: &str) {
     shared
         .counters
         .cells_requeued
-        .fetch_add(pending.len() as u64, Ordering::Relaxed);
+        .fetch_add(requeued as u64, Ordering::Relaxed);
     shared
         .counters
         .cells_total
         .fetch_add(total as u64, Ordering::Relaxed);
     eprintln!(
         "cmpsim serve: recovered run {run_id}: {done}/{total} cells already journalled, \
-         {} re-enqueued",
-        pending.len()
+         {requeued} re-enqueued"
     );
-    if pending.is_empty() {
-        // Every cell finished but the `run_end` never landed: close out.
-        finish_run(shared, &run);
-    } else {
-        let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-        sched.queue.push_back((run, pending));
-        drop(sched);
-        shared.work.notify_all();
-    }
+    // With every cell finished but no `run_end` journalled, this closes
+    // the run out.
+    start_run(shared, run, part.pending);
 }
 
 /// A client re-joining a run's record stream: replay what it missed
@@ -1437,35 +1093,46 @@ fn handle_attach(shared: &Arc<Shared>, mut stream: TcpStream, attach: &Attach) {
                 );
                 return;
             };
-            let missed = journal_job_dones_after(&path, attach.after_seq);
-            let attached = JsonValue::object([
-                ("kind", JsonValue::from("attached")),
-                ("run_id", JsonValue::from(attach.run_id.as_str())),
-                ("replay", JsonValue::from(missed.len())),
-            ]);
-            if proto::write_msg(&mut stream, &attached).is_err() {
-                return;
+            if replay_missed(shared, &mut stream, &attach.run_id, &path, attach.after_seq).is_some()
+            {
+                let _ = proto::write_msg(&mut stream, end);
             }
-            shared
-                .counters
-                .jobs_replayed_to_client
-                .fetch_add(missed.len() as u64, Ordering::Relaxed);
-            for rec in &missed {
-                if proto::write_msg(&mut stream, rec).is_err() {
-                    return;
-                }
-            }
-            let _ = proto::write_msg(&mut stream, end);
         }
     }
+}
+
+/// Sends `attached`, then the journalled `job_done` records after rseq
+/// `after`: how many it replayed, or `None` once the client is gone.
+fn replay_missed(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    run_id: &str,
+    journal: &std::path::Path,
+    after: u64,
+) -> Option<usize> {
+    let missed = journal_job_dones_after(journal, after);
+    let attached = JsonValue::object([
+        ("kind", JsonValue::from("attached")),
+        ("run_id", JsonValue::from(run_id)),
+        ("replay", JsonValue::from(missed.len())),
+    ]);
+    proto::write_msg(stream, &attached).ok()?;
+    shared
+        .counters
+        .jobs_replayed_to_client
+        .fetch_add(missed.len() as u64, Ordering::Relaxed);
+    for rec in &missed {
+        proto::write_msg(stream, rec).ok()?;
+    }
+    Some(missed.len())
 }
 
 /// Attaches to a live run: under the emit lock (so no record can land
 /// between the journal read and the stream splice), replay the missed
 /// records and install this socket as the run's client.
 fn attach_live(shared: &Arc<Shared>, mut stream: TcpStream, run: &Arc<Run>, after_seq: u64) {
-    let _emit = run.emit.lock().unwrap_or_else(|e| e.into_inner());
-    if run.journal.degraded() {
+    let _emit = run.state.emit_lock();
+    if run.journal().degraded() {
         send_error(
             &mut stream,
             &format!(
@@ -1475,49 +1142,30 @@ fn attach_live(shared: &Arc<Shared>, mut stream: TcpStream, run: &Arc<Run>, afte
         );
         return;
     }
-    let missed = journal_job_dones_after(run.journal.path(), after_seq);
-    let attached = JsonValue::object([
-        ("kind", JsonValue::from("attached")),
-        ("run_id", JsonValue::from(run.id.as_str())),
-        ("replay", JsonValue::from(missed.len())),
-    ]);
-    if proto::write_msg(&mut stream, &attached).is_err() {
+    let journal = run.journal().path();
+    let Some(replayed) = replay_missed(shared, &mut stream, &run.id, journal, after_seq) else {
         return;
-    }
-    shared
-        .counters
-        .jobs_replayed_to_client
-        .fetch_add(missed.len() as u64, Ordering::Relaxed);
-    for rec in &missed {
-        if proto::write_msg(&mut stream, rec).is_err() {
-            return;
-        }
-    }
+    };
     run.service_lane.instant(
         "client_attach",
         "",
         0,
         vec![
             ("after_rseq".to_owned(), JsonValue::from(after_seq)),
-            ("replayed".to_owned(), JsonValue::from(missed.len())),
+            ("replayed".to_owned(), JsonValue::from(replayed)),
         ],
     );
-    if run.remaining.load(Ordering::Acquire) == 0 {
+    if run.state.remaining() == 0 {
         // The run finished while the client was away; the replay above
         // already delivered every record.
+        let (ok, cached, failed) = run.state.counts();
         let _ = proto::write_msg(
             &mut stream,
             &JsonValue::object([
                 ("kind", JsonValue::from("run_end")),
-                ("ok", JsonValue::from(run.ok.load(Ordering::Relaxed))),
-                (
-                    "cached",
-                    JsonValue::from(run.cached.load(Ordering::Relaxed)),
-                ),
-                (
-                    "failed",
-                    JsonValue::from(run.failed.load(Ordering::Relaxed)),
-                ),
+                ("ok", JsonValue::from(ok)),
+                ("cached", JsonValue::from(cached)),
+                ("failed", JsonValue::from(failed)),
             ]),
         );
     } else {
@@ -1664,45 +1312,11 @@ fn agent_reader(
 /// it, and dispatches it under a fresh lease. Exits when the agent is
 /// gone or the daemon drains.
 fn agent_feeder(shared: &Arc<Shared>, agent: &Arc<Agent>) {
-    let poll = Duration::from_millis(250);
-    loop {
-        let popped = {
-            let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if agent.gone.load(Ordering::Acquire) || sched.draining {
-                    break None;
-                }
-                if agent.free.load(Ordering::Acquire) == 0 {
-                    sched = shared
-                        .work
-                        .wait_timeout(sched, poll)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                    continue;
-                }
-                match try_pop(&mut sched, Instant::now()) {
-                    Popped::Cell(run, pending, depth) => break Some((run, pending, depth)),
-                    Popped::Wait(d) => {
-                        sched = shared
-                            .work
-                            .wait_timeout(sched, d.min(poll))
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                    Popped::Drained => break None,
-                    Popped::Empty => {
-                        sched = shared
-                            .work
-                            .wait_timeout(sched, poll)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
-        };
-        let Some((run, pending, depth)) = popped else {
-            return;
-        };
+    let ready = |draining: bool| {
+        (!draining && !agent.gone.load(Ordering::Acquire))
+            .then(|| agent.free.load(Ordering::Acquire) > 0)
+    };
+    while let Some((run, pending, depth)) = shared.core.next(ready) {
         run.service_lane.counter("queue_depth", "", depth as f64);
         dispatch_to_agent(shared, agent, &run, pending);
     }
@@ -1713,11 +1327,8 @@ fn agent_feeder(shared: &Arc<Shared>, agent: &Arc<Agent>) {
 /// and reclaims the agent.
 fn dispatch_to_agent(shared: &Arc<Shared>, agent: &Arc<Agent>, run: &Arc<Run>, pending: Pending) {
     let seq = pending.seq;
-    if !pending.owned {
-        match claim(shared, run, seq) {
-            Claim::Finished | Claim::Joined => return,
-            Claim::Own => {}
-        }
+    if !pending.owned && sched::claim(&**shared, run, seq, None) != sched::Claim::Own {
+        return;
     }
     let cell = &run.cells[seq];
     let lease_id = shared.next_lease_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1771,16 +1382,12 @@ fn dispatch_to_agent(shared: &Arc<Shared>, agent: &Arc<Agent>, run: &Arc<Run>, p
         agent.free.fetch_add(1, Ordering::AcqRel);
         // The cell never left: back in the queue with no attempt
         // consumed, ownership intact.
-        enqueue(
-            shared,
-            run,
-            Pending {
-                seq,
-                attempt: pending.attempt,
-                owned: true,
-                not_before: None,
-            },
-        );
+        let pending = Pending {
+            owned: true,
+            not_before: None,
+            ..pending
+        };
+        shared.core.enqueue(run, [pending]);
         reclaim_agent(shared, agent, "dispatch write failed");
     }
 }
@@ -1810,7 +1417,7 @@ fn handle_cell_result(shared: &Arc<Shared>, agent: &Arc<Agent>, msg: &JsonValue)
             .counters
             .stale_results
             .fetch_add(1, Ordering::Relaxed);
-        shared.work.notify_all();
+        shared.core.notify();
         return;
     };
     // Only a live lease returns the slot: a reconnected agent re-
@@ -1819,12 +1426,10 @@ fn handle_cell_result(shared: &Arc<Shared>, agent: &Arc<Agent>, msg: &JsonValue)
     agent.free.fetch_add(1, Ordering::AcqRel);
     agent.done.fetch_add(1, Ordering::Relaxed);
     let run = lease.run;
-    let seq = lease.seq;
-    let attempt = lease.attempt + 1;
-    let cell = &run.cells[seq];
+    let label = &run.cells[lease.seq].label;
     run.service_lane.instant(
         "cell_result",
-        &cell.label,
+        label,
         0,
         vec![
             ("agent".to_owned(), JsonValue::from(agent.id)),
@@ -1840,44 +1445,11 @@ fn handle_cell_result(shared: &Arc<Shared>, agent: &Arc<Agent>, msg: &JsonValue)
             ),
         ],
     );
-    match res {
-        ChildAttempt::Ok(payload) => {
-            complete_owned(shared, &run, seq, &JobOutcome::Ok(payload), attempt);
-        }
-        ChildAttempt::Err(e) => retry_or_complete(
-            shared,
-            &run,
-            seq,
-            FailureClass::Structured,
-            JobOutcome::Errored {
-                category: e.category,
-                error: e.message,
-            },
-            attempt,
-        ),
-        ChildAttempt::Crashed(m) => {
-            shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
-            retry_or_complete(
-                shared,
-                &run,
-                seq,
-                FailureClass::Crash,
-                JobOutcome::Poisoned { error: m },
-                attempt,
-            );
-        }
-        ChildAttempt::Hung => retry_or_complete(
-            shared,
-            &run,
-            seq,
-            FailureClass::Hang,
-            JobOutcome::TimedOut {
-                error: format!("job process exceeded its deadline ({attempt} attempts)"),
-            },
-            attempt,
-        ),
+    if matches!(res, ChildAttempt::Crashed(_)) {
+        shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
     }
-    shared.work.notify_all();
+    sched::retry_or_complete(&**shared, &run, lease.seq, res, lease.attempt + 1);
+    shared.core.notify();
 }
 
 /// Declares an agent dead (or drained): deregisters it, shuts its
@@ -1891,12 +1463,7 @@ fn reclaim_agent(shared: &Arc<Shared>, agent: &Arc<Agent>, reason: &str) {
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .remove(&agent.id);
-    let draining = shared
-        .sched
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .draining;
-    if !draining {
+    if !shared.core.draining() {
         shared.counters.agents_lost.fetch_add(1, Ordering::Relaxed);
     }
     {
@@ -1917,7 +1484,7 @@ fn reclaim_agent(shared: &Arc<Shared>, agent: &Arc<Agent>, reason: &str) {
     for (lease_id, lease) in mine {
         reclaim_lease(shared, agent.id, lease_id, lease, reason);
     }
-    shared.work.notify_all();
+    shared.core.notify();
 }
 
 /// Re-enqueues (or poisons) one reclaimed lease.
@@ -1937,14 +1504,11 @@ fn reclaim_lease(shared: &Shared, agent_id: u64, lease_id: u64, lease: Lease, re
             ("reason".to_owned(), JsonValue::from(reason)),
         ],
     );
-    retry_or_complete(
+    sched::retry_or_complete(
         shared,
         &lease.run,
         lease.seq,
-        FailureClass::Crash,
-        JobOutcome::Poisoned {
-            error: format!("agent {agent_id} lost mid-cell: {reason}"),
-        },
+        ChildAttempt::Crashed(format!("agent {agent_id} lost mid-cell: {reason}")),
         lease.attempt + 1,
     );
 }
@@ -1954,17 +1518,7 @@ fn reclaim_lease(shared: &Shared, agent_id: u64, lease_id: u64, lease: Lease, re
 fn reaper_loop(shared: &Arc<Shared>) {
     let tick = (shared.cfg.heartbeat / 2).min(Duration::from_millis(250));
     let mut last_ping = Instant::now();
-    loop {
-        {
-            let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            if sched.draining {
-                break;
-            }
-            let _ = shared
-                .work
-                .wait_timeout(sched, tick)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+    while !shared.core.pause(tick) {
         let now = Instant::now();
 
         // Expired leases: a listed lease is renewed by every heartbeat,
@@ -2001,7 +1555,7 @@ fn reaper_loop(shared: &Arc<Shared>) {
                         .remove(&lease_id);
                     if let Some(lease) = lease {
                         reclaim_lease(shared, agent_id, lease_id, lease, "agent already gone");
-                        shared.work.notify_all();
+                        shared.core.notify();
                     }
                 }
             }
@@ -2014,7 +1568,7 @@ fn reaper_loop(shared: &Arc<Shared>) {
             let ping = JsonValue::object([("kind", JsonValue::from("ping"))]);
             let runs = shared.runs.lock().unwrap_or_else(|e| e.into_inner());
             for run in runs.iter().filter_map(Weak::upgrade) {
-                if run.remaining.load(Ordering::Acquire) > 0 {
+                if run.state.remaining() > 0 {
                     run.send(&ping);
                 }
             }
@@ -2042,12 +1596,38 @@ fn reaper_loop(shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::client;
+    use std::path::Path;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cmpsim_service_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Serves the config `config` builds in a fresh temp dir —
+    /// journalling there, with a shutdown flag — while `body` runs
+    /// against it, then shuts it down and removes the dir.
+    fn serve(
+        tag: &str,
+        config: impl FnOnce(&Path) -> ServeConfig,
+        body: impl FnOnce(SocketAddr, &Path, &ShutdownFlag),
+    ) {
+        let dir = temp_dir(tag);
+        let shutdown = ShutdownFlag::default();
+        let coord = Coordinator::bind(ServeConfig {
+            journal_dir: dir.join("journal"),
+            shutdown: Some(shutdown.clone()),
+            ..config(&dir)
+        })
+        .unwrap();
+        let addr = coord.local_addr().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| coord.run());
+            body(addr, &dir, &shutdown);
+            shutdown.request();
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A fake "experiment binary": `/bin/echo` printing the marker
@@ -2082,23 +1662,36 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn coordinator_runs_a_submission_end_to_end() {
-        let dir = temp_dir("e2e");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
+        let cfg = |dir: &Path| ServeConfig {
             workers: 2,
             cache_dir: Some(dir.join("cache")),
-            journal_dir: dir.join("journal"),
-            shutdown: Some(shutdown.clone()),
             ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap().to_string();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-
+        };
+        serve("e2e", cfg, |addr, dir, _| {
+            let addr = addr.to_string();
             let sub = echo_submission(None, false, &["a", "b", "c"]);
             let out = client::submit(&addr, &sub).unwrap();
             assert_eq!(out.report.ok_count(), 3);
+            // The run's trace rolls up per cell: one `cell:<label>` span
+            // each, with its execute span parented under it.
+            let trace_path = dir
+                .join("journal")
+                .join(format!("{}.trace.jsonl", out.run_id));
+            let trace = ftrace::read_jsonl(&trace_path).unwrap();
+            for label in ["a", "b", "c"] {
+                let name = format!("{}{label}", ftrace::CELL_SPAN_PREFIX);
+                let cells: Vec<_> = trace.events.iter().filter(|e| e.name == name).collect();
+                assert_eq!(cells.len(), 1, "{name}");
+                let execs: Vec<_> = trace
+                    .events
+                    .iter()
+                    .filter(|e| e.name == "execute" && e.cell == label)
+                    .collect();
+                assert_eq!(execs.len(), 1, "execute spans of {label}");
+                assert_eq!(execs[0].parent, cells[0].id);
+            }
+            let summary = ftrace::TraceSummary::from_events(&trace.events, trace.dropped);
+            assert_eq!(summary.cells.len(), 3);
             assert_eq!(out.report.jobs[0].label, "a");
             assert_eq!(
                 out.report.jobs[1]
@@ -2148,32 +1741,19 @@ mod tests {
                 .join("journal")
                 .join(format!("{}.jsonl", out.run_id))
                 .exists());
-            assert!(dir
-                .join("journal")
-                .join(format!("{}.trace.jsonl", out.run_id))
-                .exists());
-
-            shutdown.request();
+            assert!(trace_path.exists());
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn crashing_cell_is_quarantined_not_fatal() {
-        let dir = temp_dir("crash");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
+        let cfg = |_: &Path| ServeConfig {
             workers: 1,
-            journal_dir: dir.join("journal"),
             backoff: BackoffPolicy::immediate(),
-            shutdown: Some(shutdown.clone()),
             ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap().to_string();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
+        };
+        serve("crash", cfg, |addr, _, _| {
             // `/bin/echo` without a marker line: dies without reporting
             // → crash → retried → poisoned. A healthy neighbour is
             // unaffected.
@@ -2184,16 +1764,14 @@ mod tests {
                 label: "bad".to_owned(),
                 args: vec!["no marker here".to_owned()],
             });
-            let out = client::submit(&addr, &sub).unwrap();
+            let out = client::submit(&addr.to_string(), &sub).unwrap();
             assert_eq!(out.report.ok_count(), 1);
             assert_eq!(out.report.poisoned_count(), 1);
             assert_eq!(
                 out.report.jobs[1].attempts, 2,
                 "one retry before quarantine"
             );
-            shutdown.request();
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A raw-socket stand-in for `cmpsim agent`: handshakes with the
@@ -2233,14 +1811,12 @@ mod tests {
         }
     }
 
-    fn agents_only_config(dir: &std::path::Path, shutdown: &ShutdownFlag) -> ServeConfig {
+    fn agents_only(_: &Path) -> ServeConfig {
         ServeConfig {
             workers: 0,
             retries: 0,
-            journal_dir: dir.join("journal"),
             backoff: BackoffPolicy::immediate(),
             heartbeat: Duration::from_millis(100),
-            shutdown: Some(shutdown.clone()),
             ..ServeConfig::default()
         }
     }
@@ -2248,139 +1824,126 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn agents_only_coordinator_runs_cells_on_an_agent() {
-        let dir = temp_dir("agent_ok");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(agents_only_config(&dir, &shutdown)).unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-            let agent = s.spawn(move || {
-                let (stream, mut reader) = fake_agent(addr, 2);
-                // Answer one dispatch with a crafted success.
-                let d = next_dispatch(&mut reader);
-                let lease = d.get("lease").and_then(JsonValue::as_u64).unwrap();
-                let result = proto::attempt_to_json(&ChildAttempt::Ok(JsonValue::object([(
-                    "cell",
-                    JsonValue::from("remote"),
-                )])));
-                let mut w = &stream;
-                proto::write_msg(
-                    &mut w,
-                    &JsonValue::object([
-                        ("kind", JsonValue::from("cell_result")),
-                        ("lease", JsonValue::from(lease)),
-                        ("result", result),
-                    ]),
-                )
-                .unwrap();
-                // Hold the connection until the run is over.
-                let _ = reader.next();
-            });
+        serve("agent_ok", agents_only, |addr, _, shutdown| {
+            std::thread::scope(|s| {
+                let agent = s.spawn(move || {
+                    let (stream, mut reader) = fake_agent(addr, 2);
+                    // Answer one dispatch with a crafted success.
+                    let d = next_dispatch(&mut reader);
+                    let lease = d.get("lease").and_then(JsonValue::as_u64).unwrap();
+                    let result = proto::attempt_to_json(&ChildAttempt::Ok(JsonValue::object([(
+                        "cell",
+                        JsonValue::from("remote"),
+                    )])));
+                    let mut w = &stream;
+                    proto::write_msg(
+                        &mut w,
+                        &JsonValue::object([
+                            ("kind", JsonValue::from("cell_result")),
+                            ("lease", JsonValue::from(lease)),
+                            ("result", result),
+                        ]),
+                    )
+                    .unwrap();
+                    // Hold the connection until the run is over.
+                    let _ = reader.next();
+                });
 
-            let out =
-                client::submit(&addr.to_string(), &echo_submission(None, false, &["a"])).unwrap();
-            assert_eq!(out.report.ok_count(), 1);
-            assert_eq!(
-                out.report.jobs[0]
-                    .outcome
-                    .payload()
-                    .and_then(|p| p.get("cell"))
-                    .and_then(JsonValue::as_str),
-                Some("remote"),
-                "the agent's payload reached the client"
-            );
-            let counters = client::status(&addr.to_string()).unwrap();
-            assert_eq!(
-                counters.get("agents_joined").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            assert_eq!(
-                counters.get("cells_reclaimed").and_then(JsonValue::as_u64),
-                Some(0)
-            );
-            shutdown.request();
-            agent.join().unwrap();
+                let out = client::submit(&addr.to_string(), &echo_submission(None, false, &["a"]))
+                    .unwrap();
+                assert_eq!(out.report.ok_count(), 1);
+                assert_eq!(
+                    out.report.jobs[0]
+                        .outcome
+                        .payload()
+                        .and_then(|p| p.get("cell"))
+                        .and_then(JsonValue::as_str),
+                    Some("remote"),
+                    "the agent's payload reached the client"
+                );
+                let counters = client::status(&addr.to_string()).unwrap();
+                assert_eq!(
+                    counters.get("agents_joined").and_then(JsonValue::as_u64),
+                    Some(1)
+                );
+                assert_eq!(
+                    counters.get("cells_reclaimed").and_then(JsonValue::as_u64),
+                    Some(0)
+                );
+                shutdown.request();
+                agent.join().unwrap();
+            });
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn disconnected_agents_cells_are_reclaimed_to_poison() {
-        let dir = temp_dir("agent_lost");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(agents_only_config(&dir, &shutdown)).unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-            s.spawn(move || {
-                let (stream, mut reader) = fake_agent(addr, 1);
-                // Take the dispatch, then die without a word.
-                let _ = next_dispatch(&mut reader);
-                drop(stream);
-            });
+        serve("agent_lost", agents_only, |addr, _, _| {
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let (stream, mut reader) = fake_agent(addr, 1);
+                    // Take the dispatch, then die without a word.
+                    let _ = next_dispatch(&mut reader);
+                    drop(stream);
+                });
 
-            // retries: 0, no other executor → the reclaimed cell is
-            // quarantined, and the client still gets its one job_done.
-            let out =
-                client::submit(&addr.to_string(), &echo_submission(None, false, &["a"])).unwrap();
-            assert_eq!(out.report.poisoned_count(), 1);
-            let err = out.report.jobs[0].outcome.to_json().to_json();
-            assert!(
-                err.contains("lost mid-cell"),
-                "poison names the loss: {err}"
-            );
-            let counters = client::status(&addr.to_string()).unwrap();
-            assert_eq!(
-                counters.get("cells_reclaimed").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            assert_eq!(
-                counters.get("agents_lost").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            shutdown.request();
+                // retries: 0, no other executor → the reclaimed cell is
+                // quarantined, and the client still gets its one
+                // job_done.
+                let out = client::submit(&addr.to_string(), &echo_submission(None, false, &["a"]))
+                    .unwrap();
+                assert_eq!(out.report.poisoned_count(), 1);
+                let err = out.report.jobs[0].outcome.to_json().to_json();
+                assert!(
+                    err.contains("lost mid-cell"),
+                    "poison names the loss: {err}"
+                );
+                let counters = client::status(&addr.to_string()).unwrap();
+                assert_eq!(
+                    counters.get("cells_reclaimed").and_then(JsonValue::as_u64),
+                    Some(1)
+                );
+                assert_eq!(
+                    counters.get("agents_lost").and_then(JsonValue::as_u64),
+                    Some(1)
+                );
+            });
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn silent_agent_misses_heartbeats_and_is_reclaimed() {
-        let dir = temp_dir("agent_silent");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(agents_only_config(&dir, &shutdown)).unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-            s.spawn(move || {
-                let (stream, mut reader) = fake_agent(addr, 1);
-                // Take the dispatch, then go silent — no heartbeats, no
-                // result, socket held open (a wedged host, not a dead
-                // one).
-                let _ = next_dispatch(&mut reader);
-                let _ = done_rx.recv_timeout(Duration::from_secs(30));
-                drop(stream);
-            });
+        serve("agent_silent", agents_only, |addr, _, _| {
+            std::thread::scope(|s| {
+                let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+                s.spawn(move || {
+                    let (stream, mut reader) = fake_agent(addr, 1);
+                    // Take the dispatch, then go silent — no heartbeats,
+                    // no result, socket held open (a wedged host, not a
+                    // dead one).
+                    let _ = next_dispatch(&mut reader);
+                    let _ = done_rx.recv_timeout(Duration::from_secs(30));
+                    drop(stream);
+                });
 
-            let out =
-                client::submit(&addr.to_string(), &echo_submission(None, false, &["a"])).unwrap();
-            assert_eq!(out.report.poisoned_count(), 1);
-            let err = out.report.jobs[0].outcome.to_json().to_json();
-            assert!(
-                err.contains("missed heartbeats"),
-                "poison names the silence: {err}"
-            );
-            let counters = client::status(&addr.to_string()).unwrap();
-            assert_eq!(
-                counters.get("agents_lost").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            let _ = done_tx.send(());
-            shutdown.request();
+                let out = client::submit(&addr.to_string(), &echo_submission(None, false, &["a"]))
+                    .unwrap();
+                assert_eq!(out.report.poisoned_count(), 1);
+                let err = out.report.jobs[0].outcome.to_json().to_json();
+                assert!(
+                    err.contains("missed heartbeats"),
+                    "poison names the silence: {err}"
+                );
+                let counters = client::status(&addr.to_string()).unwrap();
+                assert_eq!(
+                    counters.get("agents_lost").and_then(JsonValue::as_u64),
+                    Some(1)
+                );
+                let _ = done_tx.send(());
+            });
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Sends an `attach` and returns the reader positioned after the
@@ -2404,47 +1967,50 @@ mod tests {
         (reader, reply)
     }
 
+    fn one_worker(_: &Path) -> ServeConfig {
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Leaves behind the journal of a daemon that died mid-run:
+    /// `sub`'s submission record, then `write` for the cells.
+    #[cfg(unix)]
+    fn dead_journal(dir: &Path, sub: &Submission, write: impl FnOnce(&RunJournal)) {
+        let run_id = sub.run_id.clone().unwrap();
+        let jc = JournalConfig::new(dir.join("journal"), run_id.clone());
+        let (journal, _) = RunJournal::open(&jc).unwrap();
+        journal.run_start(&run_id, sub.cells.len(), 0);
+        journal.append_record(submission_record(&run_id, sub));
+        write(&journal);
+    }
+
     #[cfg(unix)]
     #[test]
     fn restart_closes_out_a_fully_executed_journal_and_serves_attach() {
-        let dir = temp_dir("recover_done");
         let sub = echo_submission(Some("run-reco".to_owned()), false, &["a", "b"]);
-        {
-            // The journal a dead daemon left behind: every cell done,
-            // but it never lived to write the run_end.
-            let (journal, _) = RunJournal::open(&JournalConfig::new(
-                dir.join("journal"),
-                "run-reco".to_owned(),
-            ))
-            .unwrap();
-            journal.run_start("run-reco", 2, 0);
-            journal.append_record(submission_record("run-reco", &sub));
-            for (i, cell) in sub.cells.iter().enumerate() {
-                journal.job_start(i, &cell.key, &cell.label);
-                journal.job_done_tracked(
-                    i,
-                    &cell.key,
-                    &cell.label,
-                    &JobOutcome::Ok(JsonValue::object([(
-                        "cell",
-                        JsonValue::from(cell.label.as_str()),
-                    )])),
-                    1,
-                );
-            }
-        }
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
-            workers: 1,
-            journal_dir: dir.join("journal"),
-            shutdown: Some(shutdown.clone()),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-
+        // The journal a dead daemon left behind: every cell done, but it
+        // never lived to write the run_end.
+        let cfg = |dir: &Path| {
+            dead_journal(dir, &sub, |journal| {
+                for (i, cell) in sub.cells.iter().enumerate() {
+                    journal.job_start(i, &cell.key, &cell.label);
+                    journal.job_done_tracked(
+                        i,
+                        &cell.key,
+                        &cell.label,
+                        &JobOutcome::Ok(JsonValue::object([(
+                            "cell",
+                            JsonValue::from(cell.label.as_str()),
+                        )])),
+                        1,
+                    );
+                }
+            });
+            one_worker(dir)
+        };
+        serve("recover_done", cfg, |addr, dir, _| {
             let counters = client::status(&addr.to_string()).unwrap();
             assert_eq!(
                 counters.get("runs_recovered").and_then(JsonValue::as_u64),
@@ -2486,49 +2052,30 @@ mod tests {
             // error, not a hang.
             let (_r, reply) = raw_attach(addr, "no-such-run", 0);
             assert_eq!(reply.get("kind").and_then(JsonValue::as_str), Some("error"));
-
-            shutdown.request();
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn restart_reexecutes_dangling_in_flight_cells() {
-        let dir = temp_dir("recover_dangling");
         let sub = echo_submission(Some("run-dangle".to_owned()), false, &["a", "b"]);
-        {
-            let (journal, _) = RunJournal::open(&JournalConfig::new(
-                dir.join("journal"),
-                "run-dangle".to_owned(),
-            ))
-            .unwrap();
-            journal.run_start("run-dangle", 2, 0);
-            journal.append_record(submission_record("run-dangle", &sub));
-            journal.job_start(0, &sub.cells[0].key, "a");
-            journal.job_done_tracked(
-                0,
-                &sub.cells[0].key,
-                "a",
-                &JobOutcome::Ok(JsonValue::object([("cell", JsonValue::from("a"))])),
-                1,
-            );
-            // Cell b was mid-flight when the daemon died: a job_start
-            // with no matching job_done.
-            journal.job_start(1, &sub.cells[1].key, "b");
-        }
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
-            workers: 1,
-            journal_dir: dir.join("journal"),
-            shutdown: Some(shutdown.clone()),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-
+        let cfg = |dir: &Path| {
+            dead_journal(dir, &sub, |journal| {
+                journal.job_start(0, &sub.cells[0].key, "a");
+                journal.job_done_tracked(
+                    0,
+                    &sub.cells[0].key,
+                    "a",
+                    &JobOutcome::Ok(JsonValue::object([("cell", JsonValue::from("a"))])),
+                    1,
+                );
+                // Cell b was mid-flight when the daemon died: a job_start
+                // with no matching job_done.
+                journal.job_start(1, &sub.cells[1].key, "b");
+            });
+            one_worker(dir)
+        };
+        serve("recover_dangling", cfg, |addr, dir, _| {
             let counters = client::status(&addr.to_string()).unwrap();
             assert_eq!(
                 counters.get("runs_recovered").and_then(JsonValue::as_u64),
@@ -2592,28 +2139,55 @@ mod tests {
                     .and_then(JsonValue::as_u64),
                 Some(1)
             );
+        });
+    }
+
+    #[test]
+    fn requests_are_served_without_an_accept_poll() {
+        let dir = temp_dir("accept");
+        let shutdown = ShutdownFlag::default();
+        let coord = Coordinator::bind(ServeConfig {
+            journal_dir: dir.join("journal"),
+            shutdown: Some(shutdown.clone()),
+            ..one_worker(&dir)
+        })
+        .unwrap();
+        let addr = coord.local_addr().unwrap().to_string();
+        std::thread::scope(|s| {
+            let serving = s.spawn(|| coord.run());
+            client::status(&addr).unwrap();
+            // A 50 ms accept poll would cost a second here.
+            let started = Instant::now();
+            for _ in 0..20 {
+                client::status(&addr).unwrap();
+            }
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(500),
+                "20 status calls took {took:?}"
+            );
+
+            let requested = Instant::now();
             shutdown.request();
+            serving.join().unwrap();
+            let took = requested.elapsed();
+            assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Sends one raw hello and returns the coordinator's reply.
+    fn raw_hello(addr: SocketAddr, hello: &JsonValue) -> JsonValue {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        proto::write_msg(&mut stream, hello).unwrap();
+        let mut reader = proto::MsgReader::new(stream.try_clone().unwrap());
+        reader.next().unwrap().expect("an error reply")
+    }
+
     #[test]
     fn mismatched_protocol_version_gets_a_structured_error() {
-        let dir = temp_dir("proto_reject");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
-            workers: 0,
-            journal_dir: dir.join("journal"),
-            shutdown: Some(shutdown.clone()),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-
+        serve("proto_reject", agents_only, |addr, _, _| {
             // A hello from the future: protocol version 999.
-            let mut stream = TcpStream::connect(addr).unwrap();
             let hello = JsonValue::object([
                 ("kind", JsonValue::from("agent_hello")),
                 ("protocol", JsonValue::from(999u64)),
@@ -2622,9 +2196,7 @@ mod tests {
                 ("slots", JsonValue::from(1u64)),
                 ("pid", JsonValue::from(1u64)),
             ]);
-            proto::write_msg(&mut stream, &hello).unwrap();
-            let mut reader = proto::MsgReader::new(stream.try_clone().unwrap());
-            let reply = reader.next().unwrap().expect("an error reply");
+            let reply = raw_hello(addr, &hello);
             assert_eq!(reply.get("kind").and_then(JsonValue::as_str), Some("error"));
             let detail = reply
                 .get("message")
@@ -2635,27 +2207,12 @@ mod tests {
                 detail.contains(&format!("v{PROTOCOL_VERSION}")),
                 "names the coordinator version: {detail}"
             );
-
-            shutdown.request();
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_binary_fingerprint_gets_a_structured_error() {
-        let dir = temp_dir("binary_reject");
-        let shutdown = ShutdownFlag::default();
-        let coord = Coordinator::bind(ServeConfig {
-            workers: 0,
-            journal_dir: dir.join("journal"),
-            shutdown: Some(shutdown.clone()),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| coord.run());
-
+        serve("binary_reject", agents_only, |addr, _, _| {
             let hello = AgentHello {
                 protocol: PROTOCOL_VERSION,
                 binary: "1111111111111111".to_owned(),
@@ -2663,10 +2220,7 @@ mod tests {
                 slots: 1,
                 pid: 1,
             };
-            let mut stream = TcpStream::connect(addr).unwrap();
-            proto::write_msg(&mut stream, &hello.to_msg()).unwrap();
-            let mut reader = proto::MsgReader::new(stream.try_clone().unwrap());
-            let reply = reader.next().unwrap().expect("an error reply");
+            let reply = raw_hello(addr, &hello.to_msg());
             assert_eq!(reply.get("kind").and_then(JsonValue::as_str), Some("error"));
             let detail = reply
                 .get("message")
@@ -2684,8 +2238,6 @@ mod tests {
                 counters.get("agents_joined").and_then(JsonValue::as_u64),
                 Some(0)
             );
-            shutdown.request();
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
