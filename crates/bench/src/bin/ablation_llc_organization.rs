@@ -3,11 +3,10 @@
 //! al., Zhang & Asanovic, Nurvitadhi et al.) studies *shared* LLCs for
 //! these workloads.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::LlcOrganizationStudy;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::TextTable;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -25,8 +24,10 @@ fn main() {
     );
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::llc_organization_result(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::llc_organization_result(
+            &study.run(&cell_broker, w)?,
+        ))
     });
     let results: Vec<_> = report
         .payloads()
@@ -42,11 +43,6 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    opts.emit_json_traced(
-        "ablation_llc_organization",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("ablation_llc_organization", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

@@ -2,11 +2,10 @@
 //! LRU, tree-PLRU, FIFO, and random replacement to check the paper's
 //! working-set conclusions are not LRU artifacts.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::ReplacementStudy;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::{human_bytes, TextTable};
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -27,8 +26,11 @@ fn main() {
     .param("policies", "LRU,PLRU,FIFO,RAND");
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::replacement_sweep(w, &study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::replacement_sweep(
+            w,
+            &study.run(&cell_broker, w)?,
+        ))
     });
     for (w, curves) in report
         .payloads()
@@ -50,11 +52,6 @@ fn main() {
         }
         println!("{}", t.render());
     }
-    opts.emit_json_traced(
-        "ablation_replacement",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("ablation_replacement", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

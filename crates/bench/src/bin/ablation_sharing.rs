@@ -2,11 +2,10 @@
 //! threads at a fixed LLC separates §4.3's category (a) (shared primary
 //! structure) from category (b) (per-thread private data).
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::SharingStudy;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::render_sharing;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -23,19 +22,14 @@ fn main() {
     );
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::sharing_result(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::sharing_result(&study.run(&cell_broker, w)?))
     });
     let results: Vec<_> = report
         .payloads()
         .filter_map(results_json::parse_sharing_result)
         .collect();
     println!("{}", render_sharing(&results));
-    opts.emit_json_traced(
-        "ablation_sharing",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("ablation_sharing", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

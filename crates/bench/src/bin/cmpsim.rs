@@ -32,18 +32,15 @@
 
 use cmpsim_bench::{
     child_argv, export_trace, journal_config, parse_scale, results_json, resume_command,
-    submit_cells, write_twin,
+    run_child_cell, submit_cells, write_twin,
 };
 use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 use cmpsim_core::experiment::{CacheSizeStudy, CmpClass};
-use cmpsim_core::grid::{run_grid_supervised, GridSpec};
+use cmpsim_core::grid::{try_run_grid_supervised, GridSpec};
 use cmpsim_core::report::{human_bytes, TextTable};
-use cmpsim_core::runner::{
-    child_trace_requested, emit_result, emit_trace, record, shutdown, IsolateMode, RunnerConfig,
-    CHILD_ENTRY,
-};
+use cmpsim_core::runner::{record, shutdown, IsolateMode, RunnerConfig, CHILD_ENTRY};
 use cmpsim_core::tel::trace::{self as ftrace, FlightRecorder, TraceSummary};
-use cmpsim_core::tel::{scrub_path, write_json_file, JsonValue, RunManifest, SpanProfiler};
+use cmpsim_core::tel::{scrub_path, write_json_file, JsonValue, RunManifest};
 use cmpsim_core::{telemetry, CaptureBroker, Scale, WorkloadId};
 use cmpsim_dragonhead::{Dragonhead, DragonheadConfig};
 use cmpsim_service::{AgentConfig, Coordinator, ServeConfig};
@@ -279,11 +276,18 @@ fn cmd_run(args: &[String]) -> i32 {
     }
     let started = Instant::now();
     let sim = CoSimulation::new(cfg);
-    let mut spans = SpanProfiler::new();
-    spans.start("cosim");
-    let stream = sim.capture_profiled(workload, cli.scale, cli.seed, &mut spans);
-    let r = sim.replay_profiled(&stream, &mut spans);
-    spans.end();
+    // The flight recorder times every capture and replay stage under
+    // one `cosim` span; `--json` writes them as the `spans` array.
+    let rec = FlightRecorder::new();
+    let replayed = {
+        let _ctx = ftrace::install(rec.lane("cosim"), "", 0);
+        let _t = ftrace::span("cosim");
+        sim.replay(&sim.capture(workload, cli.scale, cli.seed))
+    };
+    let r = match replayed {
+        Ok(r) => r,
+        Err(e) => return fail(&e.to_string()),
+    };
     println!(
         "{workload} on {} cores, {} LLC ({}B lines), scale {}:",
         cli.cores,
@@ -301,7 +305,7 @@ fn cmd_run(args: &[String]) -> i32 {
     if let Some(path) = cli.json_path("cmpsim_run") {
         let mut manifest = telemetry::manifest("cmpsim", &cfg, workload, cli.scale, cli.seed);
         manifest.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let doc = telemetry::telemetry_report(manifest, &r, spans);
+        let doc = telemetry::telemetry_report(manifest, &r, rec.drain_sorted());
         if let Err(e) = doc.write_json(&path) {
             return fail(&format!("cannot write {}: {e}", path.display()));
         }
@@ -377,8 +381,8 @@ fn cmd_grid(args: &[String]) -> i32 {
         };
         let base = (cli.isolate == IsolateMode::Process).then_some(child_base.as_slice());
         let cell_broker = broker.clone();
-        run_grid_supervised(&spec, &runner, base, move |w| {
-            results_json::cache_size_curve(&study.run(&cell_broker, w))
+        try_run_grid_supervised(&spec, &runner, base, move |w| {
+            Ok(results_json::cache_size_curve(&study.run(&cell_broker, w)?))
         })
     };
     let curves: Vec<_> = report
@@ -398,8 +402,7 @@ fn cmd_grid(args: &[String]) -> i32 {
             .with_scale_seed(cli.scale, cli.seed)
             .config_entry("cmp", cmp.to_string())
             .config_entry("cores", cmp.cores() as u64);
-        let results = JsonValue::Array(report.payloads().cloned().collect());
-        if let Err(e) = write_twin(&path, manifest, &report, broker.counters(), results) {
+        if let Err(e) = write_twin(&path, manifest, &report, broker.counters()) {
             return fail(&e);
         }
     }
@@ -600,27 +603,10 @@ fn cmd_child(args: &[String]) -> i32 {
     };
     cmpsim_core::set_replay_shards(cli.effective_replay_shards());
     let study = CacheSizeStudy::new(cli.scale, cmp, cli.seed);
-    let compute = || {
-        let broker = CaptureBroker::new(cli.trace_dir.clone());
-        Ok(results_json::cache_size_curve(
-            &study.run(&broker, workload),
-        ))
-    };
-    if child_trace_requested() {
-        // The supervisor is tracing: record this cell's spans and ship
-        // them over the marker protocol for grafting under the cell.
-        let rec = FlightRecorder::new();
-        let lane = rec.lane("child");
-        let res = {
-            let _ctx = ftrace::install(lane, "", 0);
-            compute()
-        };
-        emit_trace(&rec.drain_sorted(), rec.dropped());
-        emit_result(&res);
-    } else {
-        emit_result(&compute());
-    }
-    0
+    let broker = CaptureBroker::new(cli.trace_dir.clone());
+    run_child_cell(workload, &|w| {
+        Ok(results_json::cache_size_curve(&study.run(&broker, w)?))
+    })
 }
 
 fn cmd_record(args: &[String]) -> i32 {

@@ -1,11 +1,10 @@
 //! Regenerates Figure 4: LLC misses per 1000 instructions vs cache size
 //! on the small-scale CMP (8 cores), 64-byte lines.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::{CacheSizeStudy, CmpClass};
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::{human_bytes, render_ascii_chart, render_cache_size_figure};
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -19,8 +18,8 @@ fn main() {
         .param("line", 64);
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::cache_size_curve(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::cache_size_curve(&study.run(&cell_broker, w)?))
     });
     let curves: Vec<_> = report
         .payloads()
@@ -44,11 +43,6 @@ fn main() {
             None => println!("  {:9} none (streaming)", c.workload.to_string()),
         }
     }
-    opts.emit_json_traced(
-        "fig4_scmp",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("fig4_scmp", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

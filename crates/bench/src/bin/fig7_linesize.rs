@@ -1,11 +1,10 @@
 //! Regenerates Figure 7: line-size sensitivity on the LCMP with a 32 MB
 //! LLC (scaled), lines from 64 B to 4096 B.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::{paper_line_sizes, LineSizeStudy};
 use cmpsim_core::grid::{join_list, GridSpec};
 use cmpsim_core::report::render_line_size_figure;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -23,8 +22,8 @@ fn main() {
     .param("lines", join_list(&paper_line_sizes()));
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::line_size_curve(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::line_size_curve(&study.run(&cell_broker, w)?))
     });
     let curves: Vec<_> = report
         .payloads()
@@ -40,11 +39,6 @@ fn main() {
             c.improvement_at(1024)
         );
     }
-    opts.emit_json_traced(
-        "fig7_linesize",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("fig7_linesize", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

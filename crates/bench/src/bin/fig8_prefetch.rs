@@ -1,11 +1,10 @@
 //! Regenerates Figure 8: performance gain from the stride hardware
 //! prefetcher, serial vs 16-thread, on a Xeon-class timing model.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::PrefetchStudy;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::render_prefetch_figure;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -23,8 +22,8 @@ fn main() {
     .param("prefetcher", "stride");
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::prefetch_result(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::prefetch_result(&study.run(&cell_broker, w)?))
     });
     let results: Vec<_> = report
         .payloads()
@@ -36,11 +35,6 @@ fn main() {
          for VIEWTYPE/FIMI/PLSA/RSEARCH/SHOT/SVM-RFE, while SNP and MDS gain less in\n\
          parallel because demand misses already saturate the bus."
     );
-    opts.emit_json_traced(
-        "fig8_prefetch",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("fig8_prefetch", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

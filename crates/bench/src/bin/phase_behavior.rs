@@ -2,11 +2,10 @@
 //! the phase behavior §1 of the paper gives as the reason run-to-
 //! completion co-simulation matters.
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::PhaseStudy;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::TextTable;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -23,8 +22,8 @@ fn main() {
     );
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::phase_entry(w, &study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::phase_entry(w, &study.run(&cell_broker, w)?))
     });
     let mut t = TextTable::new([
         "Workload",
@@ -69,11 +68,6 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    opts.emit_json_traced(
-        "phase_behavior",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("phase_behavior", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

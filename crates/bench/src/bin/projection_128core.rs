@@ -2,11 +2,10 @@
 //! speculates that FIMI and RSEARCH working sets keep growing with core
 //! count while MDS/SVM-RFE/SNP/PLSA stay flat "even on 128 cores".
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::ProjectionStudy;
 use cmpsim_core::grid::{join_list, GridSpec};
 use cmpsim_core::report::TextTable;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -25,8 +24,11 @@ fn main() {
     .param("cores", join_list(&cores));
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::projection_entry(w, &study.run(&cell_broker, w, &cores))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::projection_entry(
+            w,
+            &study.run(&cell_broker, w, &cores)?,
+        ))
     });
     let mut t = TextTable::new(
         std::iter::once("Workload".to_owned()).chain(cores.iter().map(|c| format!("{c} cores"))),
@@ -41,11 +43,6 @@ fn main() {
         );
     }
     println!("{}", t.render());
-    opts.emit_json_traced(
-        "projection_128core",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("projection_128core", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

@@ -1,7 +1,7 @@
 //! Regenerates Table 1: input parameters and dataset sizes for every
 //! workload, as instantiated at the chosen scale.
 
-use cmpsim_bench::{finish_grid, run_grid, Options};
+use cmpsim_bench::{finish_grid, try_run_grid, Options};
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::{human_bytes, TextTable};
 use cmpsim_core::tel::JsonValue;
@@ -19,15 +19,15 @@ fn main() {
         opts.workloads.clone(),
     );
     let (scale, seed) = (opts.scale, opts.seed);
-    let report = run_grid(&opts, &spec, move |id| {
+    let report = try_run_grid(&opts, &spec, move |id| {
         let wl = id.build(scale, seed);
         let d = wl.dataset();
-        JsonValue::object([
+        Ok(JsonValue::object([
             ("workload", JsonValue::from(id.to_string())),
             ("parameters", JsonValue::from(d.parameters.clone())),
             ("input_bytes", JsonValue::U64(d.input_bytes)),
             ("provenance", JsonValue::from(d.provenance.clone())),
-        ])
+        ]))
     });
     let mut t = TextTable::new(["Workload", "Parameters", "Size of Data Input", "Provenance"]);
     for row in report.payloads() {
@@ -44,10 +44,6 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    opts.emit_json_runner(
-        "table1_inputs",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-    );
+    opts.emit_json_runner("table1_inputs", &report);
     finish_grid(&opts, &spec, &report);
 }

@@ -1,11 +1,10 @@
 //! Regenerates Table 2: single-threaded workload characteristics on a
 //! Pentium 4-class machine (8 KB DL1 + 512 KB L2, scaled).
 
-use cmpsim_bench::{finish_grid, results_json, run_grid, Options};
+use cmpsim_bench::{finish_grid, results_json, try_run_grid, Options};
 use cmpsim_core::experiment::Table2Study;
 use cmpsim_core::grid::GridSpec;
 use cmpsim_core::report::render_table2;
-use cmpsim_core::tel::JsonValue;
 
 fn main() {
     let opts = Options::from_args();
@@ -22,8 +21,8 @@ fn main() {
     );
     let broker = opts.capture_broker();
     let cell_broker = broker.clone();
-    let report = run_grid(&opts, &spec, move |w| {
-        results_json::table2_row(&study.run(&cell_broker, w))
+    let report = try_run_grid(&opts, &spec, move |w| {
+        Ok(results_json::table2_row(&study.run(&cell_broker, w)?))
     });
     let rows: Vec<_> = report
         .payloads()
@@ -34,11 +33,6 @@ fn main() {
         "paper reference (measured on real hardware): IPC 0.06 (MDS) to 1.08 (PLSA);\n\
          %mem 42.3% (RSEARCH) to 83.1% (PLSA); DL2 MPKI 0.18 (PLSA) to 18.95 (MDS)."
     );
-    opts.emit_json_traced(
-        "table2_characteristics",
-        JsonValue::Array(report.payloads().cloned().collect()),
-        &report,
-        broker.counters(),
-    );
+    opts.emit_json_traced("table2_characteristics", &report, broker.counters());
     finish_grid(&opts, &spec, &report);
 }

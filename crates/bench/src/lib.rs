@@ -53,7 +53,7 @@
 //! aligned text tables.
 //!
 //! Every binary funnels its per-workload cells through
-//! [`cmpsim_core::grid::run_grid`] and renders text by parsing the JSON
+//! [`try_run_grid`] and renders text by parsing the JSON
 //! payloads back (see [`results_json`]'s `parse_*` functions) — the one
 //! code path guarantees serial, parallel, cold, and warm runs print the
 //! same bytes.
@@ -373,12 +373,12 @@ impl Options {
     }
 
     /// Writes `{manifest, results, runner}` to the JSON twin path, if
-    /// one was requested: the manifest records the runner counters, and
-    /// the document carries the full per-job [`RunReport`] under
-    /// `runner`. Text output on stdout is unaffected; the path note goes
-    /// to stderr.
-    pub fn emit_json_runner(&self, name: &str, results: JsonValue, report: &RunReport) {
-        self.emit_json_traced(name, results, report, CaptureCounters::default());
+    /// one was requested: `results` holds the cells' payloads in grid
+    /// order, the manifest records the runner counters, and the document
+    /// carries the full per-job [`RunReport`] under `runner`. Text output
+    /// on stdout is unaffected; the path note goes to stderr.
+    pub fn emit_json_runner(&self, name: &str, report: &RunReport) {
+        self.emit_json_traced(name, report, CaptureCounters::default());
     }
 
     /// Like [`emit_json_runner`](Options::emit_json_runner), but also
@@ -387,17 +387,11 @@ impl Options {
     /// loaded from the `--trace-dir` store. Counters appear only when
     /// nonzero, so a run where nothing was captured (every cell served
     /// from the result cache) produces the exact manifest it always did.
-    pub fn emit_json_traced(
-        &self,
-        name: &str,
-        results: JsonValue,
-        report: &RunReport,
-        trace: CaptureCounters,
-    ) {
+    pub fn emit_json_traced(&self, name: &str, report: &RunReport, trace: CaptureCounters) {
         let Some(path) = self.json_path(name) else {
             return;
         };
-        if let Err(e) = write_twin(&path, self.manifest(name), report, trace, results) {
+        if let Err(e) = write_twin(&path, self.manifest(name), report, trace) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
@@ -483,8 +477,9 @@ pub fn journal_config(
     })
 }
 
-/// Writes the `{manifest, results, runner}` JSON twin to `path`: the
-/// manifest gains the runner counters, then the capture pipeline's
+/// Writes the `{manifest, results, runner}` JSON twin to `path`, with
+/// the cells' payloads in grid order as `results`: the manifest gains
+/// the runner counters, then the capture pipeline's
 /// (recovery and capture counters only when nonzero, so a clean run's
 /// manifest never changes). The path note goes to stderr.
 ///
@@ -496,7 +491,6 @@ pub fn write_twin(
     manifest: RunManifest,
     report: &RunReport,
     trace: CaptureCounters,
-    results: JsonValue,
 ) -> Result<(), String> {
     let mut manifest = manifest
         .config_entry("runner_jobs", report.workers)
@@ -514,6 +508,7 @@ pub fn write_twin(
         ("trace_captures", trace.captures),
         ("trace_reuses", trace.memory_reuses),
         ("trace_disk_loads", trace.disk_loads),
+        ("trace_store_errors", trace.store_errors),
     ] {
         if n > 0 {
             manifest = manifest.config_entry(key, n);
@@ -521,7 +516,10 @@ pub fn write_twin(
     }
     let doc = JsonValue::object([
         ("manifest", manifest.to_json()),
-        ("results", results),
+        (
+            "results",
+            JsonValue::Array(report.payloads().cloned().collect()),
+        ),
         ("runner", report.to_json()),
     ]);
     cmpsim_telemetry::write_json_file(path, &doc)
@@ -578,23 +576,14 @@ pub fn export_trace(
 
 /// Runs `spec`'s grid with crash-safety wired up from `opts`: the
 /// journalled, optionally process-isolated equivalent of
-/// [`cmpsim_core::grid::run_grid`].
+/// [`cmpsim_core::grid::try_run_grid`]. A cell's structured error is
+/// recorded as `Errored`; in child mode it is reported over the marker
+/// protocol (exit 0 — reporting a failed cell is a successful report),
+/// so the parent records it the same way, not as a crash.
 ///
 /// In the hidden `__run-job` child mode this computes exactly one cell,
 /// prints the supervisor marker line, and **exits** — the caller's
 /// rendering code after this call never runs in a child.
-pub fn run_grid<F>(opts: &Options, spec: &GridSpec, f: F) -> RunReport
-where
-    F: Fn(WorkloadId) -> JsonValue + Send + Sync + Clone + 'static,
-{
-    try_run_grid(opts, spec, move |w| Ok(f(w)))
-}
-
-/// [`run_grid`] for fallible cells: the crash-safe equivalent of
-/// [`cmpsim_core::grid::try_run_grid`]. A structured error in child mode
-/// is reported over the marker protocol (exit 0 — reporting a failed
-/// cell is a successful report), so the parent records it as
-/// `Errored`, not as a crash.
 pub fn try_run_grid<F>(opts: &Options, spec: &GridSpec, f: F) -> RunReport
 where
     F: Fn(WorkloadId) -> Result<JsonValue, JobError> + Send + Sync + Clone + 'static,
@@ -683,7 +672,10 @@ fn child_base(opts: &Options) -> Option<Vec<String>> {
     (opts.isolate == IsolateMode::Process).then(|| opts.child_args())
 }
 
-fn run_child_cell(w: WorkloadId, f: &dyn Fn(WorkloadId) -> Result<JsonValue, JobError>) -> ! {
+/// Computes the one cell a `__run-job` child was spawned for, reports
+/// it (and, when the supervisor is tracing, the cell's spans) over the
+/// marker protocol, and exits.
+pub fn run_child_cell(w: WorkloadId, f: &dyn Fn(WorkloadId) -> Result<JsonValue, JobError>) -> ! {
     use cmpsim_core::runner::{child_trace_requested, emit_result, emit_trace};
     if child_trace_requested() {
         // The supervisor is tracing: record this cell's spans into a

@@ -101,11 +101,6 @@ pub fn line_size_curve(c: &LineSizeCurve) -> JsonValue {
     ])
 }
 
-/// Figure 7 payload over many curves.
-pub fn line_size_curves(curves: &[LineSizeCurve]) -> JsonValue {
-    JsonValue::Array(curves.iter().map(line_size_curve).collect())
-}
-
 /// Parses one [`line_size_curve`] payload back.
 pub fn parse_line_size_curve(v: &JsonValue) -> Option<LineSizeCurve> {
     Some(LineSizeCurve {
@@ -137,11 +132,6 @@ pub fn prefetch_result(r: &PrefetchResult) -> JsonValue {
     ])
 }
 
-/// Figure 8 payload over many workloads.
-pub fn prefetch_results(results: &[PrefetchResult]) -> JsonValue {
-    JsonValue::Array(results.iter().map(prefetch_result).collect())
-}
-
 /// Parses one [`prefetch_result`] payload back.
 pub fn parse_prefetch_result(v: &JsonValue) -> Option<PrefetchResult> {
     Some(PrefetchResult {
@@ -164,11 +154,6 @@ pub fn table2_row(r: &Table2Row) -> JsonValue {
         ("dl1_mpki", JsonValue::F64(r.dl1_mpki)),
         ("dl2_mpki", JsonValue::F64(r.dl2_mpki)),
     ])
-}
-
-/// Table 2 payload over many workloads.
-pub fn table2_rows(rows: &[Table2Row]) -> JsonValue {
-    JsonValue::Array(rows.iter().map(table2_row).collect())
 }
 
 /// Parses one [`table2_row`] payload back.
@@ -195,11 +180,6 @@ pub fn sharing_result(r: &SharingResult) -> JsonValue {
             JsonValue::Bool(r.paper_category_shared),
         ),
     ])
-}
-
-/// Sharing-ablation payload over many workloads.
-pub fn sharing_results(results: &[SharingResult]) -> JsonValue {
-    JsonValue::Array(results.iter().map(sharing_result).collect())
 }
 
 /// Parses one [`sharing_result`] payload back.
@@ -234,18 +214,6 @@ pub fn replacement_sweep(
             ),
         ),
     ])
-}
-
-/// Replacement-ablation payload over many workloads.
-pub fn replacement_sweeps(
-    sweeps: &[(WorkloadId, Vec<(ReplacementPolicy, CacheSizeCurve)>)],
-) -> JsonValue {
-    JsonValue::Array(
-        sweeps
-            .iter()
-            .map(|(w, curves)| replacement_sweep(*w, curves))
-            .collect(),
-    )
 }
 
 fn parse_policy(s: &str) -> Option<ReplacementPolicy> {
@@ -286,11 +254,6 @@ pub fn llc_organization_result(r: &LlcOrganizationResult) -> JsonValue {
     ])
 }
 
-/// Shared-vs-private LLC organization payload over many workloads.
-pub fn llc_organization_results(results: &[LlcOrganizationResult]) -> JsonValue {
-    JsonValue::Array(results.iter().map(llc_organization_result).collect())
-}
-
 /// Parses one [`llc_organization_result`] payload back (the penalty
 /// ratio is recomputed from the two MPKIs).
 pub fn parse_llc_organization_result(v: &JsonValue) -> Option<LlcOrganizationResult> {
@@ -320,16 +283,6 @@ pub fn projection_entry(workload: WorkloadId, points: &[(usize, f64)]) -> JsonVa
             ),
         ),
     ])
-}
-
-/// Core-count projection payload over many workloads.
-pub fn projection_series(series: &[(WorkloadId, Vec<(usize, f64)>)]) -> JsonValue {
-    JsonValue::Array(
-        series
-            .iter()
-            .map(|(w, pts)| projection_entry(*w, pts))
-            .collect(),
-    )
 }
 
 /// Parses one [`projection_entry`] payload back.
@@ -367,11 +320,6 @@ pub fn phase_entry(workload: WorkloadId, points: &[PhasePoint]) -> JsonValue {
             ),
         ),
     ])
-}
-
-/// Phase-behavior payload over many workloads.
-pub fn phase_series(series: &[(WorkloadId, Vec<PhasePoint>)]) -> JsonValue {
-    JsonValue::Array(series.iter().map(|(w, pts)| phase_entry(*w, pts)).collect())
 }
 
 /// Parses one [`phase_entry`] payload back (MPKI at the payload's 1e-6
@@ -444,14 +392,14 @@ mod tests {
     fn payloads_serialize_and_reparse() {
         let docs = [
             cache_size_curves(&[curve()]),
-            projection_series(&[(WorkloadId::Mds, vec![(8, 2.0), (16, 3.0)])]),
-            phase_series(&[(
+            projection_entry(WorkloadId::Mds, &[(8, 2.0), (16, 3.0)]),
+            phase_entry(
                 WorkloadId::Snp,
-                vec![PhasePoint {
+                &[PhasePoint {
                     cycle: 50_000,
                     interval_mpki: 1.25,
                 }],
-            )]),
+            ),
         ];
         for d in docs {
             assert_eq!(cmpsim_telemetry::parse(&d.to_json()).unwrap(), d);

@@ -346,11 +346,6 @@ impl SetAssocCache {
     pub fn resident_lines(&self) -> u64 {
         self.tags.iter().filter(|&&t| t != EMPTY).count() as u64
     }
-
-    /// Iterates over all resident line numbers.
-    pub fn iter_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags.iter().copied().filter(|&t| t != EMPTY)
-    }
 }
 
 #[cfg(test)]

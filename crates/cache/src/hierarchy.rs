@@ -350,11 +350,6 @@ impl CoherentCores {
         }
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Private line size in bytes.
     pub fn line_size(&self) -> u64 {
         self.cores[0].line_size()

@@ -361,9 +361,6 @@ impl TraceStore {
         let Ok(reader) = TraceReader::new(bytes) else {
             return false;
         };
-        if reader.version() != 2 {
-            return false;
-        }
         let mut n = 0u64;
         for txn in reader {
             if txn.is_err() {
@@ -438,6 +435,10 @@ pub struct CaptureCounters {
     pub memory_reuses: u64,
     /// Requests served by loading a stream from the on-disk store.
     pub disk_loads: u64,
+    /// Captures the on-disk store failed to persist. Each one still
+    /// served its requests from memory; only the cross-process reuse was
+    /// lost.
+    pub store_errors: u64,
 }
 
 /// One key's capture slot: the mutex serializes duplicate captures, the
@@ -462,6 +463,7 @@ pub struct CaptureBroker {
     captures: AtomicU64,
     memory_reuses: AtomicU64,
     disk_loads: AtomicU64,
+    store_errors: AtomicU64,
 }
 
 impl CaptureBroker {
@@ -519,8 +521,11 @@ impl CaptureBroker {
         let stream = Arc::new(capture());
         if let Some(store) = &self.store {
             // A failed store is non-fatal: the capture still serves this
-            // process, only the cross-process shortcut is lost.
-            let _ = store.store(key, &stream);
+            // process, only the cross-process shortcut is lost. It is
+            // counted, so the loss is visible in the run's JSON twin.
+            if store.store(key, &stream).is_err() {
+                self.store_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
         *guard = Some(Arc::clone(&stream));
         stream
@@ -532,6 +537,7 @@ impl CaptureBroker {
             captures: self.captures.load(Ordering::Relaxed),
             memory_reuses: self.memory_reuses.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
+            store_errors: self.store_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -744,7 +750,7 @@ mod tests {
             CaptureCounters {
                 captures: 1,
                 memory_reuses: 2,
-                disk_loads: 0
+                ..CaptureCounters::default()
             }
         );
         // A different key captures independently.
@@ -770,9 +776,8 @@ mod tests {
         assert_eq!(
             broker.counters(),
             CaptureCounters {
-                captures: 0,
-                memory_reuses: 0,
-                disk_loads: 1
+                disk_loads: 1,
+                ..CaptureCounters::default()
             }
         );
         // Second ask in the same process is a memory reuse, not a re-load.

@@ -1,14 +1,23 @@
 //! The paper's experiments, each reproducing one table or figure.
+//!
+//! Every study's `run` replays its boards through
+//! [`CoSimulation::replay_boards`], one call per stream, and returns a
+//! [`CoSimError`] for a geometry that cannot be built or a report that
+//! fails validation — never a panic.
 
 use crate::capture::CaptureBroker;
 use crate::cosim::{CoSimConfig, CoSimReport, CoSimulation};
-use cmpsim_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
-use cmpsim_dragonhead::{Dragonhead, DragonheadConfig, Sample};
+use crate::error::CoSimError;
+use cmpsim_cache::{CacheConfig, CacheStats, HierarchyConfig, ReplacementPolicy};
+use cmpsim_dragonhead::{DragonheadConfig, Sample};
 use cmpsim_memsys::{MachineConfig, RunCounts};
 use cmpsim_prefetch::StrideConfig;
 use cmpsim_softsdv::RunSummary;
 use cmpsim_workloads::{Scale, WorkloadId};
 use std::fmt;
+
+/// A study's outcome: its payload, or why the run cannot be trusted.
+type Result<T> = std::result::Result<T, CoSimError>;
 
 /// The three CMP sizes of the study (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +64,7 @@ impl fmt::Display for CmpClass {
 impl std::str::FromStr for CmpClass {
     type Err = String;
 
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
+    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         CmpClass::all()
             .into_iter()
             .find(|c| c.name() == s)
@@ -98,7 +107,7 @@ pub fn llc_config(
     size: u64,
     line: u64,
     preferred_ways: u32,
-) -> Result<CacheConfig, cmpsim_cache::ConfigError> {
+) -> std::result::Result<CacheConfig, cmpsim_cache::ConfigError> {
     let per_bank = size / 4;
     let max_ways = (per_bank / line).max(1);
     let ways = u64::from(preferred_ways)
@@ -177,8 +186,8 @@ impl CacheSizeStudy {
     /// Runs one workload across the full size sweep: the workload's
     /// stream comes from `broker` — captured at most once per process,
     /// or loaded from the broker's on-disk store — and every size is a
-    /// replay of it.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> CacheSizeCurve {
+    /// board replaying it.
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<CacheSizeCurve> {
         self.run_with_sizes(broker, workload, &paper_cache_sizes(self.scale))
     }
 
@@ -188,21 +197,21 @@ impl CacheSizeStudy {
         broker: &CaptureBroker,
         workload: WorkloadId,
         sizes: &[u64],
-    ) -> CacheSizeCurve {
-        let cfg = CoSimConfig::scaled(self.cmp.cores(), sizes[0], self.scale)
-            .expect("paper sizes are valid geometries");
-        let llcs: Vec<CacheConfig> = sizes
+    ) -> Result<CacheSizeCurve> {
+        // The platform side only: every board brings its own LLC.
+        let cfg = CoSimConfig::scaled(self.cmp.cores(), 1 << 20, self.scale)?;
+        let boards = sizes
             .iter()
-            .map(|&s| CacheConfig::lru(s, 64, 16).expect("paper sizes are valid"))
-            .collect();
+            .map(|&s| Ok(cfg.board_config(CacheConfig::lru(s, 64, 16)?)))
+            .collect::<Result<Vec<_>>>()?;
         let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let reports = sim.replay_sweep(&stream, &llcs);
-        CacheSizeCurve {
+        let reports = CoSimulation::replay_boards(&stream, &boards)?;
+        Ok(CacheSizeCurve {
             workload,
             cmp: self.cmp,
             points: reports.iter().map(point_of).collect(),
-        }
+        })
     }
 }
 
@@ -278,21 +287,17 @@ impl LineSizeStudy {
     /// Runs one workload across the line-size sweep: one stream (shared
     /// with every other study at this `{workload, cores, scale, seed}`)
     /// drives one board per line size.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> LineSizeCurve {
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<LineSizeCurve> {
         let size = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let cfg = CoSimConfig::scaled(self.cores, size, self.scale).expect("valid geometry");
-        let llcs: Vec<CacheConfig> = paper_line_sizes()
+        let cfg = CoSimConfig::scaled(self.cores, size, self.scale)?;
+        let boards = paper_line_sizes()
             .iter()
-            .map(|&line| llc_config(size, line, 16).expect("paper line sizes clamp to valid"))
-            .collect();
+            .map(|&line| Ok(cfg.board_config(llc_config(size, line, 16)?)))
+            .collect::<Result<Vec<_>>>()?;
         let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let reports = sim.replay_sweep(&stream, &llcs);
-        Self::curve_of(workload, &reports)
-    }
-
-    fn curve_of(workload: WorkloadId, reports: &[CoSimReport]) -> LineSizeCurve {
-        LineSizeCurve {
+        let reports = CoSimulation::replay_boards(&stream, &boards)?;
+        Ok(LineSizeCurve {
             workload,
             points: reports
                 .iter()
@@ -301,7 +306,7 @@ impl LineSizeStudy {
                     mpki: r.mpki,
                 })
                 .collect(),
-        }
+        })
     }
 }
 
@@ -350,74 +355,49 @@ impl PrefetchStudy {
     /// and evaluates the timing model. The serial and parallel streams
     /// come from `broker`; each replays into a prefetch-off and a
     /// prefetch-on board.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> PrefetchResult {
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<PrefetchResult> {
         let llc_bytes = self.scale.pow2_bytes(self.cache_paper_bytes, 16 << 10);
-        let (serial_speedup, _s_util) = self.speedup(broker, workload, 1, llc_bytes);
+        let (serial_speedup, _s_util) = self.speedup(broker, workload, 1, llc_bytes)?;
         let (parallel_speedup, parallel_utilization) =
-            self.speedup(broker, workload, self.parallel_threads, llc_bytes);
-        PrefetchResult {
+            self.speedup(broker, workload, self.parallel_threads, llc_bytes)?;
+        Ok(PrefetchResult {
             workload,
             serial_speedup,
             parallel_speedup,
             parallel_utilization,
-        }
+        })
     }
 
-    /// The off/on board pair: one plain, one with an
-    /// era-accurate prefetcher — a small stream table (concurrent
-    /// parallel streams compete for entries, one of the reasons the
-    /// paper's parallel runs see different gains than serial ones),
-    /// conservative degree and distance.
-    fn board_pair(llc: CacheConfig) -> [Dragonhead; 2] {
-        let pf = StrideConfig {
-            table_entries: 64,
-            region_lines: 64,
-            degree: 1,
-            distance: 2,
-            train_threshold: 2,
-        };
-        [
-            Dragonhead::new(DragonheadConfig::new(llc)),
-            Dragonhead::new(DragonheadConfig::new(llc).with_prefetch(pf)),
-        ]
-    }
+    /// The era-accurate prefetcher of the prefetch-on board: a small
+    /// stream table (concurrent parallel streams compete for entries,
+    /// one of the reasons the paper's parallel runs see different gains
+    /// than serial ones), conservative degree and distance.
+    const PREFETCHER: StrideConfig = StrideConfig {
+        table_entries: 64,
+        region_lines: 64,
+        degree: 1,
+        distance: 2,
+        train_threshold: 2,
+    };
 
-    fn score(
-        &self,
-        run: &RunSummary,
-        off: &Dragonhead,
-        on: &Dragonhead,
-        threads: usize,
-    ) -> (f64, f64) {
-        let counts = |dh: &Dragonhead| RunCounts {
-            instructions: run.instructions,
-            l2_hits: run.l2.hits,
-            llc_hits: dh.stats().hits,
-            mem_fills: dh.stats().misses,
-            prefetch_fills: dh.prefetch_fills(),
-            mem_writebacks: dh.stats().writebacks + dh.writebacks_to_memory(),
-            threads: threads as u32,
-        };
-        let t_off = self.machine.evaluate(&counts(off));
-        let t_on = self.machine.evaluate(&counts(on));
-        (t_on.speedup_over(&t_off), t_on.utilization)
-    }
-
+    /// Speedup of prefetch-on over prefetch-off at `threads`, and the
+    /// prefetch-on run's bus utilization.
     fn speedup(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
         threads: usize,
         llc_bytes: u64,
-    ) -> (f64, f64) {
-        let cfg = CoSimConfig::scaled(threads, llc_bytes, self.scale).expect("valid geometry");
-        let llc = CacheConfig::lru(llc_bytes, 64, 16).expect("valid geometry");
+    ) -> Result<(f64, f64)> {
+        let cfg = CoSimConfig::scaled(threads, llc_bytes, self.scale)?;
+        let off = cfg.board_config(CacheConfig::lru(llc_bytes, 64, 16)?);
         let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let mut boards = Self::board_pair(llc);
-        cmpsim_dragonhead::replay(stream.iter(), &mut boards, stream.run().cycles)
-            .expect("captured platform cycles are monotone");
-        self.score(stream.run(), &boards[0], &boards[1], threads)
+        let boards = [off, off.with_prefetch(Self::PREFETCHER)];
+        let reports = CoSimulation::replay_boards(&stream, &boards)?;
+        let t_off = self.machine.evaluate(&reports[0].run_counts());
+        let t_on = self.machine.evaluate(&reports[1].run_counts());
+        Ok((t_on.speedup_over(&t_off), t_on.utilization))
     }
 }
 
@@ -466,21 +446,15 @@ impl Table2Study {
         }
     }
 
-    fn config(&self) -> CoSimConfig {
-        let mut cfg = CoSimConfig::new(1, 1 << 20)
-            .expect("valid geometry")
-            .with_llc(CacheConfig::lru(1 << 20, 64, 16).expect("valid"));
-        cfg.hierarchy = HierarchyConfig::pentium4_scaled(self.scale);
-        cfg
-    }
-
     /// Characterizes one workload. Every Table 2 column is
     /// platform-side, so this needs only the stream's run summary — no
     /// board is even replayed.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Table2Row {
-        let sim = CoSimulation::new(self.config());
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<Table2Row> {
+        let mut cfg = CoSimConfig::new(1, 1 << 20)?;
+        cfg.hierarchy = HierarchyConfig::pentium4_scaled(self.scale);
+        let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
-        self.row_of(workload, stream.run())
+        Ok(self.row_of(workload, stream.run()))
     }
 
     fn row_of(&self, workload: WorkloadId, run: &RunSummary) -> Table2Row {
@@ -546,24 +520,20 @@ impl SharingStudy {
     /// Runs the ablation for one workload. The two thread counts are two
     /// *different* streams (thread count is platform-side), but each is
     /// shared with every other study at the same configuration.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> SharingResult {
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<SharingResult> {
         let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
         // Normalized by instructions: the ratio is of MPKI.
-        let mpki = |threads: usize| {
-            let cfg = CoSimConfig::scaled(threads, llc, self.scale).expect("valid geometry");
-            let sim = CoSimulation::new(cfg);
+        let mpki = |threads: usize| -> Result<f64> {
+            let sim = CoSimulation::new(CoSimConfig::scaled(threads, llc, self.scale)?);
             let stream = sim.captured(broker, workload, self.scale, self.seed);
-            sim.replay(&stream).mpki
+            Ok(sim.replay(&stream)?.mpki)
         };
-        Self::result_of(workload, mpki(1), mpki(8))
-    }
-
-    fn result_of(workload: WorkloadId, single: f64, eight: f64) -> SharingResult {
-        SharingResult {
+        let (single, eight) = (mpki(1)?, mpki(8)?);
+        Ok(SharingResult {
             workload,
             miss_growth_8x: if single > 0.0 { eight / single } else { 1.0 },
             paper_category_shared: workload.shares_primary_structure(),
-        }
+        })
     }
 }
 
@@ -580,48 +550,48 @@ impl ReplacementStudy {
     /// Runs one workload on the SCMP size sweep under each policy,
     /// returning `(policy, curve)` pairs. Replacement policy is purely
     /// board-side, so all four policies (28 boards in total) replay one
-    /// stream.
+    /// stream in one pass.
     pub fn run(
         &self,
         broker: &CaptureBroker,
         workload: WorkloadId,
-    ) -> Vec<(ReplacementPolicy, CacheSizeCurve)> {
-        let sizes = paper_cache_sizes(self.scale);
-        let cfg = CoSimConfig::scaled(CmpClass::Small.cores(), sizes[0], self.scale)
-            .expect("valid geometry");
-        let sim = CoSimulation::new(cfg);
-        let stream = sim.captured(broker, workload, self.scale, self.seed);
-        [
+    ) -> Result<Vec<(ReplacementPolicy, CacheSizeCurve)>> {
+        const POLICIES: [ReplacementPolicy; 4] = [
             ReplacementPolicy::Lru,
             ReplacementPolicy::TreePlru,
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
-        ]
-        .iter()
-        .map(|&policy| {
-            let llcs: Vec<CacheConfig> = sizes
-                .iter()
-                .map(|&s| {
-                    CacheConfig::builder()
-                        .size_bytes(s)
-                        .line_bytes(64)
-                        .associativity(16)
-                        .replacement(policy)
-                        .build()
-                        .expect("valid geometry")
-                })
-                .collect();
-            let reports = sim.replay_sweep(&stream, &llcs);
-            (
-                policy,
-                CacheSizeCurve {
+        ];
+        let sizes = paper_cache_sizes(self.scale);
+        // The platform side only: every board brings its own LLC.
+        let cfg = CoSimConfig::scaled(CmpClass::Small.cores(), 1 << 20, self.scale)?;
+        let mut boards = Vec::with_capacity(POLICIES.len() * sizes.len());
+        for policy in POLICIES {
+            for &s in &sizes {
+                let llc = CacheConfig::builder()
+                    .size_bytes(s)
+                    .line_bytes(64)
+                    .associativity(16)
+                    .replacement(policy)
+                    .build()?;
+                boards.push(cfg.board_config(llc));
+            }
+        }
+        let sim = CoSimulation::new(cfg);
+        let stream = sim.captured(broker, workload, self.scale, self.seed);
+        let reports = CoSimulation::replay_boards(&stream, &boards)?;
+        Ok(POLICIES
+            .into_iter()
+            .zip(reports.chunks(sizes.len()))
+            .map(|(policy, reports)| {
+                let curve = CacheSizeCurve {
                     workload,
                     cmp: CmpClass::Small,
                     points: reports.iter().map(point_of).collect(),
-                },
-            )
-        })
-        .collect()
+                };
+                (policy, curve)
+            })
+            .collect())
     }
 }
 
@@ -655,15 +625,14 @@ impl ProjectionStudy {
         broker: &CaptureBroker,
         workload: WorkloadId,
         cores: &[usize],
-    ) -> Vec<(usize, f64)> {
+    ) -> Result<Vec<(usize, f64)>> {
         let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
         cores
             .iter()
             .map(|&n| {
-                let cfg = CoSimConfig::scaled(n, llc, self.scale).expect("valid geometry");
-                let sim = CoSimulation::new(cfg);
+                let sim = CoSimulation::new(CoSimConfig::scaled(n, llc, self.scale)?);
                 let stream = sim.captured(broker, workload, self.scale, self.seed);
-                (n, sim.replay(&stream).mpki)
+                Ok((n, sim.replay(&stream)?.mpki))
             })
             .collect()
     }
@@ -723,79 +692,38 @@ impl LlcOrganizationStudy {
         }
     }
 
-    /// Runs one workload under both organizations: one stream walked by
-    /// a router that feeds the shared board and the per-core slices.
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> LlcOrganizationResult {
-        let total = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let cfg = CoSimConfig::scaled(self.cores, total, self.scale).expect("valid geometry");
-        let sim = CoSimulation::new(cfg);
-        let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let mut router = self.router();
-        for txn in stream.iter() {
-            router.observe(&txn);
-        }
-        Self::result_of(workload, &router, stream.run().instructions)
-    }
-
-    fn router(&self) -> OrgRouter {
+    /// Runs one workload under both organizations: one stream drives
+    /// the shared board and one private slice per core, each slice a
+    /// board whose core filter keeps only the data its AF attributes to
+    /// that core.
+    pub fn run(
+        &self,
+        broker: &CaptureBroker,
+        workload: WorkloadId,
+    ) -> Result<LlcOrganizationResult> {
         let total = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
         let slice = (total / self.cores as u64).max(16 << 10);
-        let shared_cfg = llc_config(total, 64, 16).expect("scaled totals clamp to valid");
-        let slice_cfg = llc_config(slice, 64, 16).expect("scaled slices clamp to valid");
-        OrgRouter {
-            shared: Dragonhead::new(DragonheadConfig::new(shared_cfg)),
-            // One private slice per core; each slice gets a full
-            // Dragonhead (its AF tracks the same core-id messages, and
-            // we route by the *attributed* core).
-            slices: (0..self.cores)
-                .map(|_| Dragonhead::new(DragonheadConfig::new(slice_cfg)))
-                .collect(),
-            codec: cmpsim_trace::MessageCodec::new(),
-            core: 0,
-        }
-    }
-
-    fn result_of(
-        workload: WorkloadId,
-        router: &OrgRouter,
-        instructions: u64,
-    ) -> LlcOrganizationResult {
-        let private_misses: u64 = router.slices.iter().map(|s| s.stats().misses).sum();
-        LlcOrganizationResult {
+        let cfg = CoSimConfig::scaled(self.cores, total, self.scale)?;
+        let shared = cfg.board_config(llc_config(total, 64, 16)?);
+        let private = cfg.board_config(llc_config(slice, 64, 16)?);
+        let boards: Vec<DragonheadConfig> = std::iter::once(shared)
+            .chain((0..self.cores as u32).map(|core| DragonheadConfig {
+                core_filter: Some(core),
+                ..private
+            }))
+            .collect();
+        let sim = CoSimulation::new(cfg);
+        let stream = sim.captured(broker, workload, self.scale, self.seed);
+        let reports = CoSimulation::replay_boards(&stream, &boards)?;
+        let slices = CacheStats {
+            misses: reports[1..].iter().map(|s| s.llc.misses).sum(),
+            ..Default::default()
+        };
+        Ok(LlcOrganizationResult {
             workload,
-            shared_mpki: router.shared.stats().mpki(instructions),
-            private_mpki: cmpsim_cache::CacheStats {
-                misses: private_misses,
-                ..Default::default()
-            }
-            .mpki(instructions),
-        }
-    }
-}
-
-/// Both organizations on one stream: a shared board plus per-core
-/// private slices, with data traffic routed by the attributed core.
-struct OrgRouter {
-    shared: Dragonhead,
-    slices: Vec<Dragonhead>,
-    codec: cmpsim_trace::MessageCodec,
-    core: usize,
-}
-
-impl OrgRouter {
-    fn observe(&mut self, txn: &cmpsim_trace::FsbTransaction) {
-        self.shared.observe(txn);
-        if txn.is_message() {
-            if let Ok(Some(cmpsim_trace::Message::CoreId(c))) = self.codec.decode(txn) {
-                self.core = c as usize % self.slices.len();
-            }
-            // Every slice sees every control message.
-            for s in self.slices.iter_mut() {
-                s.observe(txn);
-            }
-        } else {
-            self.slices[self.core].observe(txn);
-        }
+            shared_mpki: reports[0].mpki,
+            private_mpki: slices.mpki(stream.run().instructions),
+        })
     }
 }
 
@@ -840,19 +768,15 @@ impl PhaseStudy {
         }
     }
 
-    fn config(&self) -> CoSimConfig {
-        let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
-        let mut cfg = CoSimConfig::scaled(self.cores, llc, self.scale).expect("valid geometry");
-        cfg.sample_period = self.sample_period;
-        cfg
-    }
-
     /// Runs one workload to completion and returns its MPKI-over-time
     /// series. The sampler runs during replay (sampling is board-side).
-    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Vec<PhasePoint> {
-        let sim = CoSimulation::new(self.config());
+    pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Result<Vec<PhasePoint>> {
+        let llc = self.scale.pow2_bytes(self.llc_paper_bytes, 64 << 10);
+        let mut cfg = CoSimConfig::scaled(self.cores, llc, self.scale)?;
+        cfg.sample_period = self.sample_period;
+        let sim = CoSimulation::new(cfg);
         let stream = sim.captured(broker, workload, self.scale, self.seed);
-        Self::series_of(&sim.replay(&stream).samples)
+        Ok(Self::series_of(&sim.replay(&stream)?.samples))
     }
 
     fn series_of(samples: &[Sample]) -> Vec<PhasePoint> {
@@ -969,13 +893,28 @@ mod tests {
     fn svmrfe_curve_has_knee() {
         let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 1);
         let broker = CaptureBroker::in_memory();
-        let curve = study.run_with_sizes(&broker, WorkloadId::SvmRfe, &TINY_SIZES);
+        let curve = study
+            .run_with_sizes(&broker, WorkloadId::SvmRfe, &TINY_SIZES)
+            .unwrap();
         assert_eq!(curve.points.len(), TINY_SIZES.len());
         // One execution feeds the whole sweep.
         assert_eq!(broker.counters().captures, 1);
         // MPKI decreases with size and drops substantially once the
         // blocked working set fits.
         assert!(curve.flatness() < 0.6, "flatness {}", curve.flatness());
+    }
+
+    #[test]
+    fn bad_sweep_geometry_is_a_config_error() {
+        let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 1);
+        let broker = CaptureBroker::in_memory();
+        let err = study
+            .run_with_sizes(&broker, WorkloadId::Fimi, &[48 << 10])
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoSimError::Invariant { name, .. } if name == "config"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1012,7 +951,9 @@ mod tests {
     fn line_size_improves_streaming_workload() {
         let mut study = LineSizeStudy::new(Scale::tiny(), 2);
         study.cores = 4; // keep the test fast
-        let curve = study.run(&CaptureBroker::in_memory(), WorkloadId::Shot);
+        let curve = study
+            .run(&CaptureBroker::in_memory(), WorkloadId::Shot)
+            .unwrap();
         assert_eq!(curve.points.len(), paper_line_sizes().len());
         assert!(
             curve.improvement_at(256) > 1.5,
@@ -1025,7 +966,9 @@ mod tests {
     fn prefetch_speeds_up_streaming_workload() {
         let mut study = PrefetchStudy::new(Scale::tiny(), 3);
         study.parallel_threads = 4;
-        let r = study.run(&CaptureBroker::in_memory(), WorkloadId::Shot);
+        let r = study
+            .run(&CaptureBroker::in_memory(), WorkloadId::Shot)
+            .unwrap();
         assert!(r.serial_speedup > 1.0, "serial {}", r.serial_speedup);
         assert!(r.parallel_speedup > 1.0, "parallel {}", r.parallel_speedup);
     }
@@ -1033,7 +976,9 @@ mod tests {
     #[test]
     fn table2_plsa_row_matches_paper_shape() {
         let study = Table2Study::new(Scale::tiny(), 4);
-        let row = study.run(&CaptureBroker::in_memory(), WorkloadId::Plsa);
+        let row = study
+            .run(&CaptureBroker::in_memory(), WorkloadId::Plsa)
+            .unwrap();
         assert!((row.memory_fraction - 0.831).abs() < 0.02);
         assert!(row.dl1_apki > 700.0, "PLSA DL1 APKI {}", row.dl1_apki);
         // PLSA has the lowest L2 MPKI in the paper (0.18).
@@ -1048,8 +993,8 @@ mod tests {
             ..LlcOrganizationStudy::new(Scale::tiny(), 8)
         };
         let broker = CaptureBroker::in_memory();
-        let svm = study.run(&broker, WorkloadId::SvmRfe); // category (a)
-        let shot = study.run(&broker, WorkloadId::Shot); // category (b)
+        let svm = study.run(&broker, WorkloadId::SvmRfe).unwrap(); // category (a)
+        let shot = study.run(&broker, WorkloadId::Shot).unwrap(); // category (b)
         assert!(
             svm.private_penalty() > 1.0,
             "shared-structure workload must lose with private slices: {:?}",
@@ -1067,7 +1012,9 @@ mod tests {
     fn phase_series_is_produced_and_fimi_has_phases() {
         let mut study = PhaseStudy::new(Scale::tiny(), 6);
         study.sample_period = 5_000;
-        let series = study.run(&CaptureBroker::in_memory(), WorkloadId::Fimi);
+        let series = study
+            .run(&CaptureBroker::in_memory(), WorkloadId::Fimi)
+            .unwrap();
         assert!(series.len() >= 4, "too few samples: {}", series.len());
         // FIMI's three stages (scan, build, mine) have distinct miss
         // behavior; the series must show real variability.
@@ -1098,14 +1045,14 @@ mod tests {
             scale: Scale::tiny(),
             seed: 2,
         };
-        let curves = rp.run(&broker, WorkloadId::Fimi);
+        let curves = rp.run(&broker, WorkloadId::Fimi).unwrap();
         // Replacement policy is board-side: four policies, one capture.
         assert_eq!(broker.counters().captures, 1);
         assert_eq!(curves.len(), 4);
         assert!(curves.iter().all(|(_, c)| c.points.len() == 7));
         // The LRU curve is exactly Figure 4's, from the same stream.
         let fig4 = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 2);
-        assert_eq!(curves[0].1, fig4.run(&broker, WorkloadId::Fimi));
+        assert_eq!(curves[0].1, fig4.run(&broker, WorkloadId::Fimi).unwrap());
         assert_eq!(broker.counters().captures, 1);
     }
 
@@ -1113,8 +1060,8 @@ mod tests {
     fn sharing_study_separates_categories() {
         let study = SharingStudy::new(Scale::tiny(), 5);
         let broker = CaptureBroker::in_memory();
-        let shot = study.run(&broker, WorkloadId::Shot);
-        let svm = study.run(&broker, WorkloadId::SvmRfe);
+        let shot = study.run(&broker, WorkloadId::Shot).unwrap();
+        let svm = study.run(&broker, WorkloadId::SvmRfe).unwrap();
         assert!(!shot.paper_category_shared);
         assert!(svm.paper_category_shared);
         assert!(

@@ -4,7 +4,7 @@
 //! Every figure/table binary walks the same shape of grid — a list of
 //! workloads, each run under one fixed [`CoSimConfig`](crate::CoSimConfig)
 //! family (CMP class, cache-size sweep, line-size sweep, ...). A
-//! [`GridSpec`] captures that identity; [`run_grid`] turns each workload
+//! [`GridSpec`] captures that identity; [`try_run_grid`] turns each workload
 //! cell into an [`ExperimentJob`] whose cache key fingerprints
 //! `{experiment, crate version, scale, seed, workload, config params}`,
 //! so a warm re-run of an unchanged grid executes nothing and a config
@@ -76,35 +76,12 @@ impl GridSpec {
 /// it may be skipped entirely on a warm cache. The closure is cloned
 /// per cell, so capture cheap `Copy`/`Clone` study configs, not big
 /// state.
-pub fn run_grid<F>(spec: &GridSpec, cfg: &RunnerConfig, f: F) -> RunReport
-where
-    F: Fn(WorkloadId) -> JsonValue + Send + Sync + Clone + 'static,
-{
-    run_grid_supervised(spec, cfg, None, f)
-}
-
-/// Like [`run_grid`], but each cell also carries the argv a re-exec'd
-/// child uses to recompute it under
-/// [`IsolateMode::Process`](cmpsim_runner::IsolateMode):
-/// `__run-job <WORKLOAD> <base args...>`. With `child_base == None` (or
-/// an inline runner config) this is exactly [`run_grid`].
-pub fn run_grid_supervised<F>(
-    spec: &GridSpec,
-    cfg: &RunnerConfig,
-    child_base: Option<&[String]>,
-    f: F,
-) -> RunReport
-where
-    F: Fn(WorkloadId) -> JsonValue + Send + Sync + Clone + 'static,
-{
-    try_run_grid_supervised(spec, cfg, child_base, move |w| Ok(f(w)))
-}
-
-/// Like [`run_grid`], but each cell may fail with a structured
-/// [`CoSimError`](crate::CoSimError) (via its `Into<JobError>`
-/// conversion): the pool records *which invariant broke* for that cell
-/// as a [`JobOutcome::Errored`](cmpsim_runner::JobOutcome) — without
-/// retrying the deterministic failure or disturbing its neighbours.
+///
+/// A cell may fail with a structured [`CoSimError`](crate::CoSimError)
+/// (via its `Into<JobError>` conversion): the pool records *which
+/// invariant broke* for that cell as a
+/// [`JobOutcome::Errored`](cmpsim_runner::JobOutcome) — without retrying
+/// the deterministic failure or disturbing its neighbours.
 pub fn try_run_grid<F>(spec: &GridSpec, cfg: &RunnerConfig, f: F) -> RunReport
 where
     F: Fn(WorkloadId) -> Result<JsonValue, JobError> + Send + Sync + Clone + 'static,
@@ -112,8 +89,11 @@ where
     try_run_grid_supervised(spec, cfg, None, f)
 }
 
-/// [`try_run_grid`] with per-cell child argv for process isolation (see
-/// [`run_grid_supervised`]).
+/// Like [`try_run_grid`], but each cell also carries the argv a
+/// re-exec'd child uses to recompute it under
+/// [`IsolateMode::Process`](cmpsim_runner::IsolateMode):
+/// `__run-job <WORKLOAD> <base args...>`. With `child_base == None` (or
+/// an inline runner config) this is exactly [`try_run_grid`].
 pub fn try_run_grid_supervised<F>(
     spec: &GridSpec,
     cfg: &RunnerConfig,
@@ -199,7 +179,7 @@ mod tests {
             workers: 3,
             ..RunnerConfig::default()
         };
-        let report = run_grid(&spec, &cfg, |w| JsonValue::from(w.to_string()));
+        let report = try_run_grid(&spec, &cfg, |w| Ok(JsonValue::from(w.to_string())));
         let names: Vec<&str> = report.payloads().filter_map(JsonValue::as_str).collect();
         assert_eq!(names, ["SHOT", "FIMI", "PLSA"]);
         assert_eq!(report.ok_count(), 3);
@@ -207,7 +187,10 @@ mod tests {
 
     #[test]
     fn try_run_grid_reports_which_invariant_broke_per_cell() {
+        use crate::capture::CaptureBroker;
         use crate::error::CoSimError;
+        use crate::experiment::{CacheSizeStudy, CmpClass};
+        use std::sync::Arc;
         let spec = GridSpec::new(
             "fallible",
             Scale::tiny(),
@@ -237,6 +220,21 @@ mod tests {
         // The healthy neighbours kept their order.
         let names: Vec<&str> = report.payloads().filter_map(JsonValue::as_str).collect();
         assert_eq!(names, ["SHOT", "PLSA"]);
+
+        // A study handed a bad LLC geometry fails the same way: a named
+        // error in its cell, not a panic caught by the pool.
+        let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, 1);
+        let broker = Arc::new(CaptureBroker::in_memory());
+        let report = try_run_grid(&spec, &cfg, move |w| {
+            let curve = study.run_with_sizes(&broker, w, &[48 << 10])?;
+            Ok(JsonValue::U64(curve.points.len() as u64))
+        });
+        assert_eq!(report.failed_count(), 3);
+        assert!(report.jobs.iter().all(|j| matches!(
+            &j.outcome,
+            cmpsim_runner::JobOutcome::Errored { category, error }
+                if category == "invariant" && error.contains("invariant `config` violated")
+        )));
     }
 
     #[test]

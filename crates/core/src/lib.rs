@@ -36,10 +36,10 @@
 //! let cfg = CoSimConfig::new(2, 1 << 20)?; // 2 cores, 1 MB LLC
 //! let sim = CoSimulation::new(cfg);
 //! let stream = sim.capture(WorkloadId::Plsa, Scale::tiny(), 1);
-//! let report = sim.replay(&stream);
+//! let report = sim.replay(&stream)?; // validated before it is returned
 //! assert!(report.run.instructions > 0);
 //! assert!(report.llc.accesses > 0);
-//! # Ok::<(), cmpsim_cache::ConfigError>(())
+//! # Ok::<(), cmpsim_core::CoSimError>(())
 //! ```
 
 pub mod capture;

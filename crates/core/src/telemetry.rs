@@ -6,7 +6,7 @@
 //! a machine-readable JSON twin with the same provenance.
 
 use crate::cosim::{CoSimConfig, CoSimReport};
-use cmpsim_telemetry::{JsonValue, RunManifest, SpanProfiler, TelemetryReport};
+use cmpsim_telemetry::{JsonValue, RunManifest, TelemetryReport, TraceEvent};
 use cmpsim_workloads::{Scale, WorkloadId};
 
 /// Builds a manifest for one run of `experiment`, recording the full
@@ -48,11 +48,12 @@ pub fn manifest(
 
 /// Assembles the full telemetry document for one co-simulated run: the
 /// manifest, the counter registry the report carries, the per-interval
-/// timeline derived from the 500 µs samples, and the stage spans.
+/// timeline derived from the 500 µs samples, and the stage spans the
+/// flight recorder took of the run.
 pub fn telemetry_report(
     manifest: RunManifest,
     report: &CoSimReport,
-    spans: SpanProfiler,
+    spans: Vec<TraceEvent>,
 ) -> TelemetryReport {
     let mut t = TelemetryReport::new(manifest);
     t.metrics = report.metrics.clone();
@@ -86,11 +87,14 @@ mod tests {
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
         let sim = CoSimulation::new(cfg);
-        let mut spans = SpanProfiler::new();
-        let stream = sim.capture_profiled(WorkloadId::Fimi, Scale::tiny(), 7, &mut spans);
-        let report = sim.replay_profiled(&stream, &mut spans);
+        let rec = cmpsim_telemetry::FlightRecorder::new();
+        let report = {
+            let _ctx = cmpsim_telemetry::trace::install(rec.lane("run"), "", 0);
+            let stream = sim.capture(WorkloadId::Fimi, Scale::tiny(), 7);
+            sim.replay(&stream).unwrap()
+        };
         let m = manifest("test", &cfg, WorkloadId::Fimi, Scale::tiny(), 7);
-        let doc = telemetry_report(m, &report, spans).to_json();
+        let doc = telemetry_report(m, &report, rec.drain_sorted()).to_json();
         let intervals = doc.get("intervals").unwrap().as_array().unwrap();
         assert!(!intervals.is_empty());
         assert!(intervals[0].get("mpki").is_some());

@@ -139,7 +139,9 @@ mod tests {
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
         let sim = CoSimulation::new(cfg);
-        let r = sim.replay(&sim.capture(WorkloadId::Fimi, Scale::tiny(), 1));
+        let r = sim
+            .replay(&sim.capture(WorkloadId::Fimi, Scale::tiny(), 1))
+            .unwrap();
         (r, Validator::new(cfg.sample_period))
     }
 

@@ -271,6 +271,42 @@ mod tests {
     }
 
     #[test]
+    fn core_filter_matches_routing_by_attributed_core() {
+        const CORES: u32 = 4;
+        let stream = sample_stream();
+        let final_cycle = stream.last().unwrap().cycle + 100;
+        for k in 0..CORES {
+            // The routing rule private slices used before the core
+            // filter: decode core-id messages beside the board, hand it
+            // every message, and only the data of the announced core.
+            let mut routed = board(1 << 18);
+            let mut codec = MessageCodec::new();
+            let mut core = 0;
+            for t in &stream {
+                if t.is_message() {
+                    if let Ok(Some(Message::CoreId(c))) = codec.decode(t) {
+                        core = c % CORES;
+                    }
+                    routed.observe(t);
+                } else if core == k {
+                    routed.observe(t);
+                }
+            }
+            routed.flush(final_cycle).unwrap();
+
+            let mut filtered = vec![Dragonhead::new(DragonheadConfig {
+                core_filter: Some(k),
+                ..*board(1 << 18).config()
+            })];
+            replay(stream.iter().copied(), &mut filtered, final_cycle).unwrap();
+            assert!(routed.stats().accesses > 0, "core {k} saw no data");
+            assert_eq!(filtered[0].stats(), routed.stats(), "core {k}");
+            assert_eq!(filtered[0].samples(), routed.samples(), "core {k}");
+            assert_eq!(filtered[0].per_core(), routed.per_core(), "core {k}");
+        }
+    }
+
+    #[test]
     fn failed_flush_still_flushes_every_board() {
         let stream = sample_stream();
         let final_cycle = stream.last().unwrap().cycle + 100;

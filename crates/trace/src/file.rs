@@ -14,8 +14,8 @@
 //! 64-bit FNV-1a checksum of the body bytes (fixed little-endian) — so a
 //! torn capture is distinguishable from a complete shorter trace. The
 //! same FNV-1a constants seal the runner's result-cache and journal
-//! records. Version-1 traces (no footer) are still readable; they end at
-//! EOF and offer no torn-file detection.
+//! records. Version-1 traces (no footer) are rejected: a trace without a
+//! footer cannot tell a torn capture from a complete one.
 //!
 //! # Interplay with `cmpsim-faults`
 //!
@@ -33,12 +33,10 @@ use crate::fsb::{FsbKind, FsbTransaction};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"CMPT";
-/// Current trace format version (v2: checksummed footer).
+/// Trace format version (v2: checksummed footer).
 const VERSION: u8 = 2;
-/// Legacy footer-less format, still readable.
-const VERSION_V1: u8 = 1;
-/// Footer sentinel: not a valid kind code, so a v1 reader would reject
-/// it and a v2 reader knows the body is complete.
+/// Footer sentinel: not a valid kind code, so the reader knows the body
+/// is complete.
 const FOOTER_TAG: u8 = 0xFF;
 
 /// FNV-1a 64-bit offset basis — same pinned constants as the runner's
@@ -246,18 +244,16 @@ impl<W: Write> TraceWriter<W> {
 
 /// Streaming reader for FSB traces; iterates transactions.
 ///
-/// Reads the current (v2) format and the legacy footer-less v1 format.
-/// For v2, hitting end-of-file before the footer — or a footer whose
-/// transaction count or body checksum disagrees with what was read — is
-/// an `InvalidData` error: a torn capture must not be mistaken for a
-/// complete shorter trace. v1 traces simply end at EOF.
+/// Reads the v2 format. Hitting end-of-file before the footer — or a
+/// footer whose transaction count or body checksum disagrees with what
+/// was read — is an `InvalidData` error: a torn capture must not be
+/// mistaken for a complete shorter trace.
 #[derive(Debug)]
 pub struct TraceReader<R> {
     input: R,
     last_cycle: u64,
     last_line: i64,
     done: bool,
-    version: u8,
     count: u64,
     hash: u64,
 }
@@ -274,7 +270,7 @@ impl<R: Read> TraceReader<R> {
         if &header[..4] != MAGIC {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
         }
-        if header[4] != VERSION && header[4] != VERSION_V1 {
+        if header[4] != VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unsupported trace version {}", header[4]),
@@ -285,15 +281,9 @@ impl<R: Read> TraceReader<R> {
             last_cycle: 0,
             last_line: 0,
             done: false,
-            version: header[4],
             count: 0,
             hash: FNV_OFFSET,
         })
-    }
-
-    /// The trace format version declared in the header.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Reads one body byte, folding it into the running checksum.
@@ -360,17 +350,14 @@ impl<R: Read> TraceReader<R> {
         match self.input.read_exact(&mut tag) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                if self.version >= VERSION {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "torn trace: ended before its footer",
-                    ));
-                }
-                return Ok(None);
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "torn trace: ended before its footer",
+                ));
             }
             Err(e) => return Err(e),
         }
-        if self.version >= VERSION && tag[0] == FOOTER_TAG {
+        if tag[0] == FOOTER_TAG {
             self.verify_footer()?;
             return Ok(None);
         }
@@ -560,8 +547,7 @@ mod tests {
     fn torn_v2_trace_missing_footer_rejected() {
         let txns = [FsbTransaction::new(7, FsbKind::ReadLine, Addr::new(0x40))];
         let mut buf = encode(&txns);
-        // Strip the whole footer: the body alone is a valid v1 trace,
-        // but v2 must treat it as torn.
+        // Strip the whole footer: the body alone must read as torn.
         buf.truncate(buf.len() - footer_len(1));
         let err = decode(&buf).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
@@ -624,30 +610,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_still_read() {
-        let txns = vec![
-            FsbTransaction::new(1, FsbKind::ReadLine, Addr::new(0x1000)),
-            FsbTransaction::new(5, FsbKind::Message, Addr::new(crate::MSG_WINDOW_BASE)),
-            FsbTransaction::new(5, FsbKind::WriteLine, Addr::new(0x2000)),
-        ];
-        // A v1 trace is exactly the v2 body with the old version byte
-        // and no footer.
-        let mut buf = encode(&txns);
-        buf.truncate(buf.len() - footer_len(txns.len() as u64));
-        buf[4] = VERSION_V1;
-        let r = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(r.version(), VERSION_V1);
-        assert_eq!(r.collect::<io::Result<Vec<_>>>().unwrap(), txns);
-    }
-
-    #[test]
-    fn v1_footer_sentinel_is_a_bad_kind() {
-        // 0xFF was never a valid v1 tag, so the sentinel cannot be
-        // mistaken for data by either version's reader.
+    fn v1_traces_are_rejected() {
+        // A footer-less v1 trace cannot prove it is complete.
         let mut buf = b"CMPT\x01".to_vec();
         buf.push(FOOTER_TAG);
-        let err = decode(&buf).unwrap_err();
-        assert!(err.to_string().contains("bad kind code 255"), "{err}");
+        let err = TraceReader::new(buf.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported trace version 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl<S: TraceSink> Tracer<S> {
         &self.sink
     }
 
-    /// Exclusive access to the sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Consumes the tracer and returns the sink.
     pub fn into_sink(self) -> S {
         self.sink

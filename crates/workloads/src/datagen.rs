@@ -226,13 +226,6 @@ impl SyntheticVideo {
             (((base >> 16) & 0xFF) as u8).wrapping_add(((texture >> 16) & 0x3F) as u8),
         ]
     }
-
-    /// Per-shot "view type" ground truth for the VIEWTYPE workload:
-    /// 0 = global, 1 = medium, 2 = close-up, 3 = out of view, derived
-    /// deterministically from the shot id.
-    pub fn view_type_of_shot(&self, shot: usize) -> u8 {
-        (mix64(self.seed ^ 0x5649_4557, shot as u64) & 3) as u8 // "VIEW"
-    }
 }
 
 /// A synthetic document-similarity graph in CSR form. Column indices are

@@ -12,7 +12,7 @@
 
 use cmpsim_core::experiment::{paper_cache_sizes, CacheSizeStudy, CmpClass};
 use cmpsim_core::report::{human_bytes, TextTable};
-use cmpsim_core::{CaptureBroker, Scale, WorkloadId};
+use cmpsim_core::{CaptureBroker, CoSimError, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -22,7 +22,7 @@ fn scale_from_env() -> Scale {
     }
 }
 
-fn main() {
+fn main() -> Result<(), CoSimError> {
     let workload: WorkloadId = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("unknown workload name"))
@@ -38,10 +38,10 @@ fn main() {
             .chain(CmpClass::all().iter().map(|c| c.name().to_owned())),
     );
     let broker = CaptureBroker::in_memory();
-    let curves: Vec<_> = CmpClass::all()
+    let curves = CmpClass::all()
         .iter()
         .map(|&cmp| CacheSizeStudy::new(scale, cmp, 2007).run_with_sizes(&broker, workload, &sizes))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     for (i, &size) in sizes.iter().enumerate() {
         table.row(
             std::iter::once(human_bytes(size))
@@ -82,4 +82,5 @@ fn main() {
              and prefetching."
         ),
     }
+    Ok(())
 }

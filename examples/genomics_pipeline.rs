@@ -12,7 +12,7 @@ use cmpsim_core::report::{human_bytes, TextTable};
 use cmpsim_core::workloads::plsa::{smith_waterman_best, Plsa};
 use cmpsim_core::workloads::rsearch::Rsearch;
 use cmpsim_core::workloads::snp::Snp;
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CoSimError, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -22,10 +22,10 @@ fn scale_from_env() -> Scale {
     }
 }
 
-fn main() {
+fn main() -> Result<(), CoSimError> {
     let scale = scale_from_env();
     let llc = scale.pow2_bytes(32 << 20, 64 << 10);
-    let sim = CoSimulation::new(CoSimConfig::new(8, llc).expect("valid geometry"));
+    let sim = CoSimulation::new(CoSimConfig::new(8, llc)?);
     println!(
         "genomics pipeline at scale {scale}, {} shared LLC\n",
         human_bytes(llc)
@@ -33,7 +33,7 @@ fn main() {
 
     // PLSA: alignment score, checked against the quadratic-space oracle.
     let plsa = Plsa::new(scale, 7);
-    let r = sim.replay(&sim.capture_workload(&plsa, scale, 7));
+    let r = sim.replay(&sim.capture_workload(&plsa, scale, 7))?;
     println!(
         "PLSA : aligned two {}-residue sequences; best local score {}",
         plsa.seq_len(),
@@ -48,7 +48,7 @@ fn main() {
 
     // SNP: network score from hill climbing.
     let snp = Snp::new(scale, 7);
-    let r = sim.replay(&sim.capture_workload(&snp, scale, 7));
+    let r = sim.replay(&sim.capture_workload(&snp, scale, 7))?;
     println!(
         "SNP  : hill climbing finished, best network score {:.4}, LLC MPKI {:.3}",
         snp.best_score(),
@@ -57,7 +57,7 @@ fn main() {
 
     // RSEARCH: best database hit.
     let rs = Rsearch::new(scale, 7);
-    let r = sim.replay(&sim.capture_workload(&rs, scale, 7));
+    let r = sim.replay(&sim.capture_workload(&rs, scale, 7))?;
     let (score, window) = rs.best_hit();
     println!(
         "RSRCH: scanned {} windows, best fold score {:.2} at window {}, LLC MPKI {:.3}\n",
@@ -74,18 +74,18 @@ fn main() {
     );
     let mut table = TextTable::new(["threads", "SNP (shared)", "RSEARCH (private DP)"]);
     for threads in [1usize, 2, 4, 8] {
-        let mpki_of = |id: WorkloadId| {
-            let cfg = CoSimConfig::new(threads, llc).expect("valid geometry");
-            let sim = CoSimulation::new(cfg);
-            sim.replay(&sim.capture(id, scale, 7)).mpki
+        let mpki_of = |id: WorkloadId| -> Result<f64, CoSimError> {
+            let sim = CoSimulation::new(CoSimConfig::new(threads, llc)?);
+            Ok(sim.replay(&sim.capture(id, scale, 7))?.mpki)
         };
         table.row([
             threads.to_string(),
-            format!("{:.3}", mpki_of(WorkloadId::Snp)),
-            format!("{:.3}", mpki_of(WorkloadId::Rsearch)),
+            format!("{:.3}", mpki_of(WorkloadId::Snp)?),
+            format!("{:.3}", mpki_of(WorkloadId::Rsearch)?),
         ]);
     }
     println!("{}", table.render());
+    Ok(())
 }
 
 /// Rebuilds the PLSA sequence pair for the oracle line (the workload's

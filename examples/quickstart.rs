@@ -10,7 +10,7 @@
 
 use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 use cmpsim_core::report::human_bytes;
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CoSimError, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -20,7 +20,7 @@ fn scale_from_env() -> Scale {
     }
 }
 
-fn main() {
+fn main() -> Result<(), CoSimError> {
     let mut args = std::env::args().skip(1);
     let workload: WorkloadId = args
         .next()
@@ -41,10 +41,11 @@ fn main() {
     );
 
     let llc_bytes = scale.pow2_bytes(32 << 20, 64 << 10);
-    let cfg = CoSimConfig::new(cores, llc_bytes).expect("valid geometry");
-    let sim = CoSimulation::new(cfg);
+    let sim = CoSimulation::new(CoSimConfig::new(cores, llc_bytes)?);
     let stream = sim.capture_workload(workload_instance.as_ref(), scale, 2007);
-    let report = sim.replay(&stream);
+    // Replay validates the report against the invariant catalogue
+    // before returning it.
+    let report = sim.replay(&stream)?;
 
     println!();
     println!("platform (SoftSDV side)");
@@ -72,4 +73,5 @@ fn main() {
             c.accesses, c.misses
         );
     }
+    Ok(())
 }

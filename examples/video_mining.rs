@@ -11,7 +11,7 @@ use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 use cmpsim_core::report::{human_bytes, TextTable};
 use cmpsim_core::workloads::shot::Shot;
 use cmpsim_core::workloads::viewtype::Viewtype;
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CoSimError, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -21,7 +21,7 @@ fn scale_from_env() -> Scale {
     }
 }
 
-fn main() {
+fn main() -> Result<(), CoSimError> {
     let scale = scale_from_env();
     let llc = scale.pow2_bytes(32 << 20, 64 << 10);
     println!(
@@ -31,8 +31,8 @@ fn main() {
 
     // --- SHOT: boundary detection quality ---------------------------
     let shot = Shot::new(scale, 42);
-    let sim = CoSimulation::new(CoSimConfig::new(8, llc).expect("valid geometry"));
-    let report = sim.replay(&sim.capture_workload(&shot, scale, 42));
+    let sim = CoSimulation::new(CoSimConfig::new(8, llc)?);
+    let report = sim.replay(&sim.capture_workload(&shot, scale, 42))?;
     let truth: Vec<u32> = shot.ground_truth()[1..].to_vec();
     let detected = shot.detected_boundaries();
     let hits = truth.iter().filter(|b| detected.contains(b)).count();
@@ -52,7 +52,7 @@ fn main() {
 
     // --- VIEWTYPE: classification distribution ----------------------
     let vt = Viewtype::new(scale, 42);
-    let report_vt = sim.replay(&sim.capture_workload(&vt, scale, 42));
+    let report_vt = sim.replay(&sim.capture_workload(&vt, scale, 42))?;
     let classes = vt.classifications();
     let mut counts = std::collections::BTreeMap::new();
     for (_, c) in &classes {
@@ -74,15 +74,14 @@ fn main() {
     );
     let mut table = TextTable::new(["threads", "SHOT", "VIEWTYPE"]);
     for threads in [1usize, 2, 4, 8] {
-        let mpki_of = |id: WorkloadId| {
-            let cfg = CoSimConfig::new(threads, llc).expect("valid geometry");
-            let sim = CoSimulation::new(cfg);
-            sim.replay(&sim.capture(id, scale, 42)).mpki
+        let mpki_of = |id: WorkloadId| -> Result<f64, CoSimError> {
+            let sim = CoSimulation::new(CoSimConfig::new(threads, llc)?);
+            Ok(sim.replay(&sim.capture(id, scale, 42))?.mpki)
         };
         table.row([
             threads.to_string(),
-            format!("{:.3}", mpki_of(WorkloadId::Shot)),
-            format!("{:.3}", mpki_of(WorkloadId::Viewtype)),
+            format!("{:.3}", mpki_of(WorkloadId::Shot)?),
+            format!("{:.3}", mpki_of(WorkloadId::Viewtype)?),
         ]);
     }
     println!("{}", table.render());
@@ -92,4 +91,5 @@ fn main() {
          thread count (paper §4.3, category (b)).",
         human_bytes(shot.frame_bytes() * 2)
     );
+    Ok(())
 }

@@ -177,7 +177,7 @@ fn chaos_is_deterministic_per_seed() {
 #[test]
 fn fault_free_path_matches_the_clean_run_exactly() {
     let (sim, stream) = fimi();
-    let clean = sim.replay(&stream);
+    let clean = sim.replay(&stream).unwrap();
     let faultless = sim.replay_with_faults(&stream, &mut NoFaults).unwrap();
 
     assert_eq!(clean.llc.accesses, faultless.llc.accesses);

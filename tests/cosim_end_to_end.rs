@@ -13,7 +13,7 @@ fn tiny_cfg(cores: usize) -> CoSimConfig {
 /// Captures `id` at tiny scale under `cfg` and replays it into the board.
 fn cosim(cfg: CoSimConfig, id: WorkloadId, seed: u64) -> CoSimReport {
     let sim = CoSimulation::new(cfg);
-    sim.replay(&sim.capture(id, Scale::tiny(), seed))
+    sim.replay(&sim.capture(id, Scale::tiny(), seed)).unwrap()
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn fig4_most_workloads_benefit_from_cache_size() {
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
     let broker = CaptureBroker::in_memory();
     for id in [WorkloadId::SvmRfe, WorkloadId::Fimi, WorkloadId::Viewtype] {
-        let curve = study.run_with_sizes(&broker, id, &TEST_SIZES);
+        let curve = study.run_with_sizes(&broker, id, &TEST_SIZES).unwrap();
         assert!(
             curve.flatness() < 0.75,
             "{id}: expected MPKI to fall with size, flatness {} points {:?}",
@@ -40,7 +40,9 @@ fn fig4_mds_is_flat() {
     // far beyond the scaled cache's reuse window.
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
     let broker = CaptureBroker::in_memory();
-    let curve = study.run_with_sizes(&broker, WorkloadId::Mds, &TEST_SIZES[..3]);
+    let curve = study
+        .run_with_sizes(&broker, WorkloadId::Mds, &TEST_SIZES[..3])
+        .unwrap();
     assert!(
         curve.flatness() > 0.7,
         "MDS should stay flat: {:?}",
@@ -58,7 +60,7 @@ fn fig5_category_a_flat_category_b_grows_with_threads() {
     let private = [WorkloadId::Shot, WorkloadId::Viewtype];
     let mut worst_shared: f64 = 0.0;
     for id in shared {
-        let r = study.run(&broker, id);
+        let r = study.run(&broker, id).unwrap();
         worst_shared = worst_shared.max(r.miss_growth_8x);
         assert!(
             r.miss_growth_8x < 2.0,
@@ -67,7 +69,7 @@ fn fig5_category_a_flat_category_b_grows_with_threads() {
         );
     }
     for id in private {
-        let r = study.run(&broker, id);
+        let r = study.run(&broker, id).unwrap();
         assert!(
             r.miss_growth_8x > worst_shared,
             "{id}: category (b) ({}) should exceed category (a) ({worst_shared})",
@@ -82,7 +84,7 @@ fn fig7_line_size_helps_streaming_workloads() {
     study.cores = 4; // keep test runtime bounded
     let broker = CaptureBroker::in_memory();
     for id in [WorkloadId::Shot, WorkloadId::Mds] {
-        let curve = study.run(&broker, id);
+        let curve = study.run(&broker, id).unwrap();
         // "SHOT, MDS, SNP, and SVM-RFE almost get linear miss reductions
         // (around 1/3 to 1/4) from 64B to 256B".
         let gain = curve.improvement_at(256);
@@ -104,7 +106,7 @@ fn fig8_prefetch_helps_and_bandwidth_punishes_parallel_mds() {
                                 // MDS: high miss rate -> parallel bandwidth contention eats the
                                 // prefetch benefit (paper: serial gain > parallel gain).
     let broker = CaptureBroker::in_memory();
-    let mds = study.run(&broker, WorkloadId::Mds);
+    let mds = study.run(&broker, WorkloadId::Mds).unwrap();
     assert!(
         mds.serial_speedup > 1.0,
         "MDS serial {}",
@@ -118,7 +120,7 @@ fn fig8_prefetch_helps_and_bandwidth_punishes_parallel_mds() {
     );
     // PLSA: low miss rate, bandwidth headroom -> parallel benefits at
     // least comparably (paper: parallel gain >= serial gain).
-    let plsa = study.run(&broker, WorkloadId::Plsa);
+    let plsa = study.run(&broker, WorkloadId::Plsa).unwrap();
     assert!(
         plsa.parallel_speedup >= plsa.serial_speedup * 0.95,
         "PLSA: parallel {} vs serial {}",
@@ -137,12 +139,18 @@ fn working_sets_order_matches_paper() {
     let study = CacheSizeStudy::new(Scale::tiny(), CmpClass::Small, SEED);
     let broker = CaptureBroker::in_memory();
     let sizes: Vec<u64> = [16u64 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20].to_vec();
-    let snp = study.run_with_sizes(&broker, WorkloadId::Snp, &sizes);
-    let shot = study.run_with_sizes(&broker, WorkloadId::Shot, &sizes);
+    let snp = study
+        .run_with_sizes(&broker, WorkloadId::Snp, &sizes)
+        .unwrap();
+    let shot = study
+        .run_with_sizes(&broker, WorkloadId::Shot, &sizes)
+        .unwrap();
     // MDS is only sampled inside the paper's sweep range: the paper's
     // largest cache (256 MB -> 1 MB at this scale) stays *below* the
     // 300 MB-class matrix; past it even MDS would fit and knee.
-    let mds = study.run_with_sizes(&broker, WorkloadId::Mds, &sizes[..4]);
+    let mds = study
+        .run_with_sizes(&broker, WorkloadId::Mds, &sizes[..4])
+        .unwrap();
     let snp_knee = snp.knee(0.2);
     let shot_knee = shot.knee(0.2);
     assert!(

@@ -71,6 +71,28 @@ fn job_done_lines(journal_dir: &Path, id: &str) -> Vec<String> {
         .collect()
 }
 
+/// A trace store that cannot be written is not fatal: every capture
+/// still serves its cell, the output is unchanged, and each failed store
+/// is counted in the JSON twin.
+#[test]
+fn unwritable_trace_store_is_counted_not_fatal() {
+    let dir = temp_dir("store-errors");
+    let not_a_dir = dir.join("traces");
+    std::fs::write(&not_a_dir, b"a regular file").expect("write blocker");
+    let json = dir.join("fig4.json");
+    let out = run_fig4(&["--trace-dir", not_a_dir.to_str().unwrap()], &json);
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fig4_tiny_stdout.txt");
+    assert_eq!(
+        out.stdout,
+        std::fs::read(golden).expect("read golden stdout")
+    );
+    let doc = read_doc(&json);
+    assert_eq!(counter(&doc, "trace_captures"), Some(2));
+    assert_eq!(counter(&doc, "trace_store_errors"), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The execute-per-cell baseline is the direct-snoop oracle now; this
 /// pins that every place a stream can come from replays to the same
 /// bytes.
