@@ -14,11 +14,9 @@
 //!   policies,
 //! * [`SetAssocCache`] — one set-associative cache with pluggable
 //!   replacement ([`ReplacementPolicy`]),
-//! * [`PrivateHierarchy`] — a per-core L1(+L2) stack that turns memory
-//!   references into bus transactions,
-//! * [`CoherentCores`] — N private hierarchies kept coherent with an
-//!   MSI-style snoop protocol, producing the FSB transaction stream that a
-//!   passive LLC emulator observes,
+//! * [`PrivateHierarchy`] — the host processor's one L1(+L2) stack, which
+//!   every time-sliced virtual core shares: it turns memory references
+//!   into the FSB transaction stream that a passive LLC emulator observes,
 //! * [`CacheStats`] / [`WorkingSetEstimator`] — counters and footprint
 //!   measurement.
 //!
@@ -48,6 +46,6 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, EvictedLine, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError, WritePolicy};
-pub use hierarchy::{BusEvent, CoherentCores, HierarchyConfig, PrivateHierarchy};
+pub use hierarchy::{BusEvent, HierarchyConfig, PrivateHierarchy};
 pub use replacement::ReplacementPolicy;
 pub use stats::{CacheStats, WorkingSetEstimator};

@@ -26,7 +26,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Evictions of dirty lines (each costs a bus writeback).
     pub writebacks: u64,
-    /// Lines removed by snoop invalidations.
+    /// Lines removed by invalidation (inclusion back-invalidations).
     pub invalidations: u64,
     /// Write hits that required a bus upgrade (line was shared).
     pub upgrades: u64,

@@ -13,8 +13,8 @@
 //!
 //! * [`DexScheduler`] — round-robin time slicing with per-slice quanta,
 //! * [`VirtualPlatform`] — N virtual cores running a
-//!   [`Workload`](cmpsim_workloads::Workload)'s thread kernels over a
-//!   coherent private-cache model, emitting the front-side-bus
+//!   [`Workload`](cmpsim_workloads::Workload)'s thread kernels over the
+//!   one physical processor's private caches, emitting the front-side-bus
 //!   transaction stream a passive emulator snoops, complete with the
 //!   co-simulation *messages* (start/stop, core-id, instructions-retired,
 //!   cycles-completed) encoded as reserved-window transactions,
@@ -39,6 +39,6 @@ pub mod platform;
 
 pub use dex::{DexScheduler, SliceDecision};
 pub use platform::{
-    CoreSummary, CountingListener, FilterMode, FsbListener, HostNoiseConfig, PlatformConfig,
-    RunSummary, VirtualPlatform,
+    CoreSummary, CountingListener, FsbListener, HostNoiseConfig, PlatformConfig, RunSummary,
+    VirtualPlatform,
 };

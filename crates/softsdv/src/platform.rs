@@ -1,8 +1,8 @@
-//! The virtual platform: workload kernels over coherent private caches,
-//! producing the FSB transaction stream.
+//! The virtual platform: workload kernels over the physical processor's
+//! private caches, producing the FSB transaction stream.
 
 use crate::dex::{DexScheduler, SliceDecision};
-use cmpsim_cache::{CacheStats, CoherentCores, HierarchyConfig};
+use cmpsim_cache::{CacheStats, HierarchyConfig, PrivateHierarchy};
 use cmpsim_trace::{
     Addr, FsbKind, FsbTransaction, MemRef, Message, MessageCodec, Pcg32, TraceSink, Tracer,
 };
@@ -54,33 +54,16 @@ pub struct HostNoiseConfig {
     pub transactions_per_switch: u32,
 }
 
-/// How workload references are filtered before reaching the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterMode {
-    /// One *physical* cache stack shared by every virtual core — the
-    /// paper's actual measurement setup: DEX time-slices all virtual
-    /// cores onto one physical processor, so Dragonhead observes the FSB
-    /// behind that single processor's caches, with slice switches
-    /// naturally thrashing them. This is the default because it is what
-    /// produced the paper's figures.
-    #[default]
-    SharedPhysical,
-    /// A private stack per virtual core with MESI-style snooping — the
-    /// memory system a real N-core CMP would have. Used by the
-    /// filter-fidelity ablation.
-    PerCore,
-}
-
 /// Platform configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PlatformConfig {
     /// Number of virtual cores (= workload threads).
     pub cores: usize,
-    /// Cache stack geometry (one stack total or one per core, per
-    /// `filter_mode`).
+    /// Geometry of the physical processor's cache stack. DEX
+    /// time-slices every virtual core onto that one processor, so one
+    /// stack filters all of their references, and slice switches thrash
+    /// it as they did in the paper's rig.
     pub hierarchy: HierarchyConfig,
-    /// Physical-cache modeling mode.
-    pub filter_mode: FilterMode,
     /// Kernel steps executed per DEX time slice.
     pub quantum_steps: usize,
     /// Instructions between counter messages (instructions-retired and
@@ -98,17 +81,10 @@ impl PlatformConfig {
         PlatformConfig {
             cores,
             hierarchy: HierarchyConfig::cmp_core(),
-            filter_mode: FilterMode::default(),
             quantum_steps: 4,
             counter_period: 100_000,
             host_noise: None,
         }
-    }
-
-    /// Selects the physical-cache modeling mode.
-    pub fn with_filter_mode(mut self, mode: FilterMode) -> Self {
-        self.filter_mode = mode;
-        self
     }
 
     /// Replaces the private hierarchy.
@@ -153,9 +129,9 @@ pub struct RunSummary {
     pub cycles: u64,
     /// Per-core breakdown.
     pub per_core: Vec<CoreSummary>,
-    /// Merged private-L1 counters.
+    /// Private-L1 counters.
     pub l1: CacheStats,
-    /// Merged private-L2 counters.
+    /// Private-L2 counters (zero if no L2 is configured).
     pub l2: CacheStats,
     /// Bus data transactions emitted (LLC demand traffic).
     pub bus_transactions: u64,
@@ -200,15 +176,15 @@ impl RunSummary {
     }
 }
 
-/// The virtual platform: N virtual cores, their coherent private caches,
-/// and the message-annotated FSB stream.
+/// The virtual platform: N virtual cores time-sliced onto one physical
+/// cache stack, and the message-annotated FSB stream.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct VirtualPlatform {
     cfg: PlatformConfig,
     kernels: Vec<Box<dyn ThreadKernel>>,
-    cores: CoherentCores,
+    caches: PrivateHierarchy,
     scheduler: DexScheduler,
     cycle: u64,
     per_core: Vec<CoreSummary>,
@@ -224,14 +200,9 @@ impl VirtualPlatform {
     /// Panics if `cfg.cores == 0`.
     pub fn new(cfg: PlatformConfig, workload: &dyn Workload) -> Self {
         assert!(cfg.cores > 0, "at least one core");
-        let kernels = workload.make_threads(cfg.cores);
-        let stacks = match cfg.filter_mode {
-            FilterMode::SharedPhysical => 1,
-            FilterMode::PerCore => cfg.cores,
-        };
         VirtualPlatform {
-            kernels,
-            cores: CoherentCores::new(stacks, cfg.hierarchy),
+            kernels: workload.make_threads(cfg.cores),
+            caches: PrivateHierarchy::new(cfg.hierarchy),
             scheduler: DexScheduler::new(cfg.cores),
             cycle: 0,
             per_core: vec![CoreSummary::default(); cfg.cores],
@@ -290,20 +261,13 @@ impl VirtualPlatform {
     /// Executes one time slice (quantum_steps kernel steps) on `core`.
     /// Returns whether the kernel still has work.
     fn run_slice<L: FsbListener>(&mut self, core: u32, listener: &mut L) -> bool {
-        let line_size = self.cores.line_size();
         let mut live = true;
         self.per_core[core as usize].slices += 1;
-        let stack = match self.cfg.filter_mode {
-            FilterMode::SharedPhysical => 0,
-            FilterMode::PerCore => core as usize,
-        };
         for _ in 0..self.cfg.quantum_steps {
             let mut sink = PlatformSink {
-                cores: &mut self.cores,
+                caches: &mut self.caches,
                 listener,
-                stack,
                 cycle: &mut self.cycle,
-                line_size,
                 bus_transactions: &mut self.bus_transactions,
             };
             let mut tracer: Tracer<&mut dyn TraceSink> = Tracer::new(&mut sink);
@@ -358,8 +322,8 @@ impl VirtualPlatform {
             stores: 0,
             cycles: self.cycle,
             per_core: self.per_core.clone(),
-            l1: self.cores.l1_stats_merged(),
-            l2: self.cores.l2_stats_merged(),
+            l1: *self.caches.l1_stats(),
+            l2: self.caches.l2_stats().copied().unwrap_or_default(),
             bus_transactions: self.bus_transactions,
         };
         s.stores = s.memory_instructions - s.loads;
@@ -367,18 +331,13 @@ impl VirtualPlatform {
     }
 }
 
-/// The per-slice trace sink: feeds kernel references through the current
-/// core's private stack and forwards resulting bus events (tagged with
-/// the *originating* core — snoop flushes come from other cores) to the
+/// The per-slice trace sink: feeds kernel references through the
+/// physical cache stack and forwards the resulting bus events to the
 /// listener.
 struct PlatformSink<'a, L> {
-    cores: &'a mut CoherentCores,
+    caches: &'a mut PrivateHierarchy,
     listener: &'a mut L,
-    /// Which physical stack filters this slice's references (always 0 in
-    /// shared-physical mode).
-    stack: usize,
     cycle: &'a mut u64,
-    line_size: u64,
     bus_transactions: &'a mut u64,
 }
 
@@ -387,10 +346,10 @@ impl<L: FsbListener> TraceSink for PlatformSink<'_, L> {
     fn record(&mut self, r: MemRef) {
         *self.cycle += 1;
         let cycle = *self.cycle;
-        let line_size = self.line_size;
+        let line_size = self.caches.line_size();
         let listener = &mut *self.listener;
         let bus = &mut *self.bus_transactions;
-        self.cores.access(self.stack, r, |_origin, ev| {
+        self.caches.access(r, |ev| {
             *bus += 1;
             listener.transaction(&FsbTransaction::new(
                 cycle,
@@ -425,58 +384,6 @@ mod tests {
         assert!(
             l.message_transactions >= 4,
             "start, core-ids, counters, stop"
-        );
-    }
-
-    #[test]
-    fn per_core_mode_keeps_private_data_on_core() {
-        // SHOT's frame buffers are per-thread private. With one shared
-        // physical stack (the paper's rig) slice switches thrash them
-        // onto the bus; with true per-core caches they stay resident,
-        // so the per-core platform must emit *fewer* bus transactions.
-        // L2 sized between one thread's frame buffers (~10 KB at tiny
-        // scale) and all four threads' combined (~40 KB): per-core stacks
-        // hold their thread's buffers; the shared physical stack cannot
-        // hold all four at once.
-        let hierarchy = HierarchyConfig {
-            l1: cmpsim_cache::CacheConfig::lru(1 << 10, 64, 8).unwrap(),
-            l2: Some(cmpsim_cache::CacheConfig::lru(16 << 10, 64, 8).unwrap()),
-        };
-        let run_mode = |mode: FilterMode| {
-            let wl = WorkloadId::Shot.build(Scale::tiny(), 3);
-            let cfg = PlatformConfig::new(4)
-                .with_filter_mode(mode)
-                .with_hierarchy(hierarchy);
-            let mut p = VirtualPlatform::new(cfg, wl.as_ref());
-            let mut l = CountingListener::default();
-            let s = p.run(&mut l);
-            (s.bus_transactions, s.instructions)
-        };
-        let (shared_bus, shared_instr) = run_mode(FilterMode::SharedPhysical);
-        let (percore_bus, percore_instr) = run_mode(FilterMode::PerCore);
-        assert_eq!(shared_instr, percore_instr, "same work either way");
-        assert!(
-            percore_bus < shared_bus,
-            "per-core caches should filter better: {percore_bus} vs {shared_bus}"
-        );
-    }
-
-    #[test]
-    fn per_core_mode_emits_coherence_traffic_for_shared_writes() {
-        // MDS threads share the score vector; per-core caches must
-        // generate ownership/invalidation traffic for it, so the run
-        // still completes with consistent counters.
-        let wl = WorkloadId::Mds.build(Scale::tiny(), 4);
-        let cfg = PlatformConfig::new(4).with_filter_mode(FilterMode::PerCore);
-        let mut p = VirtualPlatform::new(cfg, wl.as_ref());
-        let mut l = CountingListener::default();
-        let s = p.run(&mut l);
-        assert!(s.instructions > 0);
-        assert!(l.data_transactions > 0);
-        // Upgrades across cores show up in merged L1 stats.
-        assert!(
-            s.l1.upgrades + s.l1.invalidations > 0,
-            "shared writes must produce coherence activity"
         );
     }
 
