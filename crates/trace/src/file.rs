@@ -50,15 +50,17 @@ fn fnv1a64_step(hash: u64, byte: u8) -> u64 {
     (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
 }
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Encodes `v` as a varint into `buf` at `at`, returning the index just
+/// past it. `buf` must have room for 10 bytes from `at`.
+#[inline]
+fn put_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[at] = (v & 0x7F) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
+        at += 1;
     }
+    buf[at] = v as u8;
+    at + 1
 }
 
 fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
@@ -202,11 +204,9 @@ impl<W: Write> TraceWriter<W> {
         // Encode into a stack scratch (1 tag + two ≤10-byte varints) so
         // the checksum fold and the write happen in one pass.
         let mut scratch = [0u8; 21];
-        let mut cur: &mut [u8] = &mut scratch;
-        cur.write_all(&[kind_code(txn.kind)])?;
-        write_varint(&mut cur, cycle - self.last_cycle)?;
-        write_varint(&mut cur, zigzag(line - self.last_line))?;
-        let used = 21 - cur.len();
+        scratch[0] = kind_code(txn.kind);
+        let used = put_varint(&mut scratch, 1, cycle - self.last_cycle);
+        let used = put_varint(&mut scratch, used, zigzag(line - self.last_line));
         self.put(&scratch[..used])?;
         self.last_cycle = cycle;
         self.last_line = line;
@@ -234,9 +234,11 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates I/O errors.
     pub fn finish(mut self) -> io::Result<W> {
-        self.out.write_all(&[FOOTER_TAG])?;
-        write_varint(&mut self.out, self.count)?;
-        self.out.write_all(&self.hash.to_le_bytes())?;
+        let mut footer = [0u8; 19];
+        footer[0] = FOOTER_TAG;
+        let at = put_varint(&mut footer, 1, self.count);
+        footer[at..at + 8].copy_from_slice(&self.hash.to_le_bytes());
+        self.out.write_all(&footer[..at + 8])?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -427,9 +429,7 @@ mod tests {
 
     /// Bytes the footer of a trace holding `count` transactions occupies.
     fn footer_len(count: u64) -> usize {
-        let mut v = Vec::new();
-        write_varint(&mut v, count).unwrap();
-        1 + v.len() + 8
+        put_varint(&mut [0u8; 11], 1, count) + 8
     }
 
     #[test]
