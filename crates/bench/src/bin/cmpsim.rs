@@ -654,16 +654,27 @@ fn cmd_replay(args: &[String]) -> i32 {
         Ok(c) => c,
         Err(e) => return fail(&format!("bad LLC geometry: {e}")),
     };
-    let mut board = Dragonhead::new(DragonheadConfig::new(llc));
+    let mut board = match Dragonhead::try_new(DragonheadConfig::new(llc)) {
+        Ok(b) => b,
+        Err(e) => return fail(&format!("bad LLC geometry: {e}")),
+    };
     let mut n = 0u64;
+    let mut last_cycle = 0u64;
     for txn in reader {
         match txn {
             Ok(t) => {
                 board.observe(&t);
+                last_cycle = t.cycle;
                 n += 1;
             }
             Err(e) => return fail(&format!("trace error after {n} transactions: {e}")),
         }
+    }
+    // A `.cmpt` file carries no run summary; the stream's last
+    // transaction (the platform's closing stop message) is stamped with
+    // the run's final cycle, so the sample series closes there.
+    if let Err(e) = board.flush(last_cycle) {
+        return fail(&format!("sampler flush failed: {e}"));
     }
     let s = board.stats();
     println!(

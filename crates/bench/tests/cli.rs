@@ -187,9 +187,23 @@ fn record_writes_the_captured_stream_and_replay_reads_it_back() {
         .arg(&trace)
         .output()
         .expect("spawn cmpsim replay");
-    assert!(replay.status.success());
+    assert!(
+        replay.status.success(),
+        "{}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
     let stdout = String::from_utf8_lossy(&replay.stdout);
     let expected = format!("replayed {} transactions", stream.transactions());
     assert!(stdout.contains(&expected), "{stdout}");
+
+    // The printed counters are the engine's: one board on the same
+    // stream and LLC, replayed, flushed and validated.
+    let llc = cmpsim_core::experiment::llc_config(1 << 20, 64, 16).unwrap();
+    let board = cmpsim_dragonhead::DragonheadConfig::new(llc);
+    let report = CoSimulation::replay_boards(&stream, &[board]).unwrap();
+    let accesses = format!("LLC accesses : {}\n", report[0].llc.accesses);
+    let misses = format!("LLC misses   : {}\n", report[0].llc.misses);
+    assert!(stdout.contains(&accesses), "{stdout}");
+    assert!(stdout.contains(&misses), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
