@@ -9,8 +9,7 @@
 //!   conflicts) that yields the average memory latency in bus cycles,
 //! * [`MachineConfig`] / [`RunCounts`] — an analytic CPI model with a
 //!   finite-bandwidth memory bus and an M/M/1-style queueing correction,
-//!   solved to a fixed point,
-//! * [`BandwidthMeter`] — sliding-window bus utilization measurement.
+//!   solved to a fixed point.
 //!
 //! The timing model is what reproduces the paper's Table 2 IPC column and
 //! the Figure 8 prefetching study: prefetching converts exposed miss
@@ -19,10 +18,8 @@
 //! why the parallel versions of SNP and MDS gain less than their serial
 //! versions (§4.4).
 
-pub mod bandwidth;
 pub mod dram;
 pub mod timing;
 
-pub use bandwidth::BandwidthMeter;
 pub use dram::DramConfig;
 pub use timing::{MachineConfig, RunCounts, TimingBreakdown};
