@@ -45,7 +45,8 @@ pub fn replay_shards() -> usize {
 pub struct CoSimConfig {
     /// Virtual cores exposed by the platform (= workload threads).
     pub cores: usize,
-    /// Per-core private stack in front of the bus.
+    /// The private stack in front of the bus, which every virtual core
+    /// shares (DEX runs them all on one physical processor).
     pub hierarchy: HierarchyConfig,
     /// The LLC Dragonhead emulates.
     pub llc: CacheConfig,

@@ -1,5 +1,5 @@
 //! Workspace integration: every workload through the full co-simulation
-//! stack (kernels → DEX platform → coherent private caches → FSB with
+//! stack (kernels → DEX platform → one physical cache stack → FSB with
 //! message protocol → captured stream → Dragonhead → counters).
 
 use cmpsim_core::cosim::{CoSimConfig, CoSimReport, CoSimulation};
